@@ -187,7 +187,7 @@ class Apmu(PackageController):
         if new:
             if self._phase in ("pc1a", "entering"):
                 self._trigger_exit()
-            signal._apply(False)  # edge-triggered pulse
+            signal.set(False)  # edge-triggered pulse
 
     def _on_all_in_l0s_change(self, signal: Signal, old: bool, new: bool) -> None:
         if new:

@@ -29,6 +29,14 @@ class MemoryControllerError(RuntimeError):
     """Raised on invalid memory-controller commands."""
 
 
+#: The DRAM device power mode behind each settled controller state.
+_DEVICE_MODE = {
+    "active": DramPowerMode.ACTIVE,
+    "cke_off": DramPowerMode.CKE_OFF,
+    "self_refresh": DramPowerMode.SELF_REFRESH,
+}
+
+
 class MemoryController:
     """One DDR4 channel controller."""
 
@@ -166,12 +174,7 @@ class MemoryController:
         self.state = target
         self.residency.enter(target)
         self.channel.set_power(self.spec.for_state(target))
-        device_mode = {
-            "active": DramPowerMode.ACTIVE,
-            "cke_off": DramPowerMode.CKE_OFF,
-            "self_refresh": DramPowerMode.SELF_REFRESH,
-        }[target]
-        self.device.set_mode(device_mode)
+        self.device.set_mode(_DEVICE_MODE[target])
         if on_done is not None:
             on_done()
         for fn in list(self._state_listeners):

@@ -7,6 +7,7 @@ APMU PC1A flow) are FSMs whose transitions take wall-clock time. The
 * a current state with enter/exit hooks,
 * timed transitions (``goto(state, after_ns=...)``) that can be
   preempted by later ``goto`` calls (e.g. a wake event during entry),
+* an optional transition listener, called after each transition,
 * a transition log for tests and latency decomposition.
 """
 
@@ -26,12 +27,30 @@ class TimedFsm:
 
     Subclasses declare ``STATES`` (a set/sequence of hashable state
     labels) and may implement ``on_enter_<state>`` /
-    ``on_exit_<state>`` hooks (lower-cased state label).
+    ``on_exit_<state>`` hooks (lower-cased state label). The hooks are
+    class attributes, resolved once per class when it is defined.
+
+    ``on_transition``, when given, is called as ``fn(state)`` after
+    every transition, once the enter hook has run.
     """
 
     STATES: tuple[str, ...] = ()
+    #: State label -> ``on_enter_*`` / ``on_exit_*`` function, per class.
+    _ENTER_HOOKS: dict[str, Callable[[Any], None]] = {}
+    _EXIT_HOOKS: dict[str, Callable[[Any], None]] = {}
 
-    def __init__(self, sim: Simulator, name: str, initial: str):
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._ENTER_HOOKS = _resolve_hooks(cls, "on_enter_")
+        cls._EXIT_HOOKS = _resolve_hooks(cls, "on_exit_")
+
+    def __init__(
+        self,
+        sim: Simulator,
+        name: str,
+        initial: str,
+        on_transition: Callable[[str], None] | None = None,
+    ):
         if initial not in self.STATES:
             raise FsmError(f"unknown initial state {initial!r} for {name!r}")
         self.sim = sim
@@ -40,6 +59,7 @@ class TimedFsm:
         self.state_entered_at = sim.now
         self._pending: Event | None = None
         self._pending_target: str | None = None
+        self._on_transition = on_transition
         self.log: list[tuple[int, str, str]] = []
 
     # -- transitions -----------------------------------------------------
@@ -87,16 +107,30 @@ class TimedFsm:
         if state == self.state:
             return
         old = self.state
-        self._run_hook("on_exit_", old)
-        self.state = state
-        self.state_entered_at = self.sim.now
-        self.log.append((self.sim.now, old, state))
-        self._run_hook("on_enter_", state)
-
-    def _run_hook(self, prefix: str, state: str) -> None:
-        hook: Callable[[], Any] | None = getattr(self, prefix + state.lower(), None)
+        hook = self._EXIT_HOOKS.get(old)
         if hook is not None:
-            hook()
+            hook(self)
+        now = self.sim._now
+        self.state = state
+        self.state_entered_at = now
+        self.log.append((now, old, state))
+        hook = self._ENTER_HOOKS.get(state)
+        if hook is not None:
+            hook(self)
+        if self._on_transition is not None:
+            self._on_transition(self.state)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"{type(self).__name__}({self.name!r}, state={self.state!r})"
+
+
+def _resolve_hooks(
+    cls: type[TimedFsm], prefix: str
+) -> dict[str, Callable[[Any], None]]:
+    """Map each of ``cls.STATES`` to its ``<prefix><state>`` function."""
+    hooks = {}
+    for state in cls.STATES:
+        hook = getattr(cls, prefix + state.lower(), None)
+        if hook is not None:
+            hooks[state] = hook
+    return hooks

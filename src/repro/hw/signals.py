@@ -4,17 +4,14 @@ The APC architecture (paper Fig. 3) is held together by a handful of
 single-bit signals: ``InCC1`` per core, ``InL0s`` per IO controller,
 ``AllowL0s``, ``Allow_CKE_OFF``, ``Ret``, ``PwrOk``, ``ClkGate``,
 ``WakeUp`` and ``InPC1A``. We model each as a :class:`Signal` whose
-watchers are notified synchronously on a value change. Propagation
-delay through the routing fabric can be modelled explicitly with
-``delay_ns`` (default 0: the APMU flow already accounts for its FSM
-cycle latencies, so wire delay is second-order).
+watchers are notified synchronously on a value change. Wire delay is
+not modelled: the APMU flow already accounts for its FSM cycle
+latencies, so routing delay is second-order.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
-
-from repro.sim.engine import Simulator
 
 
 class SignalError(RuntimeError):
@@ -33,28 +30,18 @@ class Signal:
         Diagnostic name, e.g. ``"core3.InCC1"``.
     value:
         Initial level.
-    sim, delay_ns:
-        When both given, level changes propagate to watchers after
-        ``delay_ns`` via the simulator (modelling routing delay).
-        Otherwise propagation is immediate and synchronous.
+
+    Watchers live in a tuple that :meth:`watch` and :meth:`unwatch`
+    rebuild, so a notification round runs exactly the watchers
+    registered when the edge happened: a watcher that unwatches itself
+    or another watcher, or registers a new one, takes effect from the
+    next edge on.
     """
 
-    def __init__(
-        self,
-        name: str,
-        value: bool = False,
-        sim: Simulator | None = None,
-        delay_ns: int = 0,
-    ):
-        if delay_ns < 0:
-            raise SignalError(f"delay must be non-negative, got {delay_ns}")
-        if delay_ns > 0 and sim is None:
-            raise SignalError("a simulator is required for delayed signals")
+    def __init__(self, name: str, value: bool = False):
         self.name = name
         self._value = bool(value)
-        self._watchers: list[WatchFn] = []
-        self._sim = sim
-        self._delay_ns = delay_ns
+        self._watchers: tuple[WatchFn, ...] = ()
         self.transitions = 0
 
     @property
@@ -67,11 +54,11 @@ class Signal:
         value = bool(value)
         if value == self._value:
             return
-        if self._delay_ns > 0:
-            assert self._sim is not None
-            self._sim.schedule(self._delay_ns, self._apply, value)
-        else:
-            self._apply(value)
+        self._value = value
+        self.transitions += 1
+        old = not value
+        for fn in self._watchers:
+            fn(self, old, value)
 
     def assert_(self) -> None:
         """Drive the wire high (hardware-spec vocabulary)."""
@@ -83,25 +70,50 @@ class Signal:
 
     def watch(self, fn: WatchFn) -> None:
         """Register ``fn(signal, old, new)`` to run on level changes."""
-        self._watchers.append(fn)
+        self._watchers = (*self._watchers, fn)
 
     def unwatch(self, fn: WatchFn) -> None:
         """Remove a previously registered watcher."""
-        self._watchers.remove(fn)
-
-    def _apply(self, value: bool) -> None:
-        if value == self._value:
-            return
-        old, self._value = self._value, value
-        self.transitions += 1
-        for fn in list(self._watchers):
-            fn(self, old, value)
+        watchers = list(self._watchers)
+        watchers.remove(fn)
+        self._watchers = tuple(watchers)
 
     def __bool__(self) -> bool:
         return self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Signal({self.name!r}, {'1' if self._value else '0'})"
+
+
+class _TreeOutput(Signal):
+    """An AND tree's output wire, driven only by its inputs' edges.
+
+    The wire keeps the count of low inputs itself, updated from each
+    input edge, so an edge costs O(1). Holding the count here, not on
+    the tree, keeps it with the state of whoever reaches the output
+    (a machine checkpoint included). The count is exact as long as
+    inputs change only through :meth:`Signal.set`.
+    """
+
+    def __init__(self, name: str, inputs: list[Signal]):
+        low = sum(1 for s in inputs if not s.value)
+        super().__init__(name, value=low == 0)
+        self._low = low
+        for signal in inputs:
+            signal.watch(self._on_input_change)
+
+    def set(self, value: bool) -> None:
+        raise SignalError(f"AND tree output {self.name!r} cannot be driven")
+
+    def _on_input_change(self, signal: Signal, old: bool, new: bool) -> None:
+        if new:
+            self._low -= 1
+            if self._low == 0:
+                Signal.set(self, True)
+        else:
+            self._low += 1
+            if self._low == 1:
+                Signal.set(self, False)
 
 
 class AndTree:
@@ -120,16 +132,7 @@ class AndTree:
         self.inputs = list(inputs)
         if not self.inputs:
             raise SignalError(f"AND tree {name!r} needs at least one input")
-        self.output = Signal(f"{name}.out", value=all(s.value for s in self.inputs))
-        self.output.set = self._reject_drive  # type: ignore[method-assign]
-        for signal in self.inputs:
-            signal.watch(self._on_input_change)
-
-    def _reject_drive(self, value: bool) -> None:
-        raise SignalError(f"AND tree output {self.output.name!r} cannot be driven")
-
-    def _on_input_change(self, signal: Signal, old: bool, new: bool) -> None:
-        Signal._apply(self.output, all(s.value for s in self.inputs))
+        self.output: Signal = _TreeOutput(f"{name}.out", self.inputs)
 
     @property
     def value(self) -> bool:

@@ -22,7 +22,13 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.hw.signals import Signal
-from repro.iolink.lstates import (DMI_TIMINGS, LinkTimings, PCIE_TIMINGS, UPI_TIMINGS)
+from repro.iolink.lstates import (
+    DMI_TIMINGS,
+    LSTATE_BY_NAME,
+    LinkTimings,
+    PCIE_TIMINGS,
+    UPI_TIMINGS,
+)
 from repro.iolink.ltssm import Ltssm
 from repro.power.budgets import DMI_POWER, LinkPowerSpec, PCIE_POWER, UPI_POWER
 from repro.power.meter import PowerChannel
@@ -33,6 +39,14 @@ from repro.sim.timers import RestartableTimeout
 
 class LinkError(RuntimeError):
     """Raised on invalid link usage."""
+
+
+#: LTSSM state -> (power class, InL0s level). InL0s is high in L0s
+#: "or deeper" and low in every other state.
+_STATE_SYNC = {
+    name: (lstate.power_class, lstate.counts_as_in_l0s)
+    for name, lstate in LSTATE_BY_NAME.items()
+}
 
 
 class IoLink:
@@ -52,7 +66,11 @@ class IoLink:
         self.timings = timings
         self.channel = channel
         self.ltssm = Ltssm(
-            sim, f"{name}.ltssm", timings, shallow_state=power_spec.shallow_state
+            sim,
+            f"{name}.ltssm",
+            timings,
+            shallow_state=power_spec.shallow_state,
+            on_transition=self._sync_state,
         )
         self.allow_l0s = Signal(f"{name}.AllowL0s", value=False)
         self.in_l0s = Signal(f"{name}.InL0s", value=False)
@@ -65,15 +83,7 @@ class IoLink:
         self.transfers = 0
         self.shallow_entries = 0
         self.allow_l0s.watch(self._on_allow_change)
-        self._sync_state()
-        # Track every LTSSM transition for power/residency.
-        original_apply = self.ltssm._apply
-
-        def tracked_apply(state: str) -> None:
-            original_apply(state)
-            self._sync_state()
-
-        self.ltssm._apply = tracked_apply  # type: ignore[method-assign]
+        self._sync_state(self.ltssm.state)
 
     # -- wake listeners ---------------------------------------------------
     def on_wake(self, fn: Callable[[str], None]) -> None:
@@ -195,16 +205,13 @@ class IoLink:
         self.ltssm.enter_shallow()
         self.shallow_entries += 1
 
-    def _sync_state(self) -> None:
-        lstate = self.ltssm.lstate
-        self.residency.enter(lstate.name)
-        self.channel.set_power(self.power_spec.for_state_class(lstate.power_class))
-        if lstate.counts_as_in_l0s:
-            self.in_l0s.set(True)
-        # Deassertion is handled eagerly in _notify_wake and on allow
-        # changes; a move to a non-standby state also clears it:
-        elif self.ltssm.state in ("L0", "Recovery", "Polling", "Configuration"):
-            self.in_l0s.set(False)
+    def _sync_state(self, state: str) -> None:
+        # Residency, power and InL0s follow every LTSSM transition.
+        # InL0s also drops eagerly in _notify_wake and on allow changes.
+        power_class, in_l0s = _STATE_SYNC[state]
+        self.residency.enter(state)
+        self.channel.set_power(self.power_spec.for_state_class(power_class))
+        self.in_l0s.set(in_l0s)
 
 
 def make_link(sim: Simulator, kind: str, index: int, channel: PowerChannel) -> IoLink:

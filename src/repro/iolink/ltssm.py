@@ -19,6 +19,8 @@ L0s/L0p with no OS or driver involvement (Sec. 3.1).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.hw.fsm import FsmError, TimedFsm
 from repro.iolink.lstates import LinkTimings, LSTATE_BY_NAME, LState
 from repro.sim.engine import Simulator
@@ -38,6 +40,9 @@ class Ltssm(TimedFsm):
     start_in_l0:
         Simulations start with trained links; set False to exercise
         the Detect/Polling/Configuration bring-up path.
+    on_transition:
+        Called as ``fn(state)`` after every LTSSM transition (the
+        owning link's power and status bookkeeping).
     """
 
     STATES = (
@@ -59,11 +64,12 @@ class Ltssm(TimedFsm):
         timings: LinkTimings,
         shallow_state: str = "L0s",
         start_in_l0: bool = True,
+        on_transition: Callable[[str], None] | None = None,
     ):
         if shallow_state not in ("L0s", "L0p"):
             raise LtssmError(f"shallow state must be L0s or L0p, got {shallow_state!r}")
         initial = "L0" if start_in_l0 else "Detect"
-        super().__init__(sim, name, initial)
+        super().__init__(sim, name, initial, on_transition)
         self.timings = timings
         self.shallow_state = shallow_state
         self._recovery_target: str | None = None

@@ -22,6 +22,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: State label -> spec field holding its power, per spec class. Module
+#: constants, so a ``for_state`` lookup builds nothing per call.
+_CORE_FIELDS = {"CC0": "cc0_w", "CC1": "cc1_w", "CC1E": "cc1e_w", "CC6": "cc6_w"}
+_LINK_FIELDS = {"L0": "l0_w", "shallow": "shallow_w", "L1": "l1_w"}
+_MC_FIELDS = {
+    "active": "active_w",
+    "cke_off": "cke_off_w",
+    "self_refresh": "self_refresh_w",
+}
+_DRAM_FIELDS = {
+    "active": "idle_w",
+    "cke_off": "cke_off_w",
+    "self_refresh": "self_refresh_w",
+}
+
 
 @dataclass(frozen=True)
 class CorePowerSpec:
@@ -35,15 +50,10 @@ class CorePowerSpec:
 
     def for_state(self, state: str) -> float:
         """Power for a core C-state label (``CC0``/``CC1``/``CC1E``/``CC6``)."""
-        table = {
-            "CC0": self.cc0_w,
-            "CC1": self.cc1_w,
-            "CC1E": self.cc1e_w,
-            "CC6": self.cc6_w,
-        }
-        if state not in table:
+        name = _CORE_FIELDS.get(state)
+        if name is None:
             raise KeyError(f"unknown core C-state {state!r}")
-        return table[state]
+        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -72,10 +82,10 @@ class LinkPowerSpec:
 
     def for_state_class(self, power_class: str) -> float:
         """Power for a coarse L-state class (``L0``/``shallow``/``L1``)."""
-        table = {"L0": self.l0_w, "shallow": self.shallow_w, "L1": self.l1_w}
-        if power_class not in table:
+        name = _LINK_FIELDS.get(power_class)
+        if name is None:
             raise KeyError(f"unknown link power class {power_class!r}")
-        return table[power_class]
+        return getattr(self, name)
 
 
 PCIE_POWER = LinkPowerSpec(kind="pcie", l0_w=1.30, shallow_w=0.55, l1_w=0.25)
@@ -95,14 +105,10 @@ class MemoryControllerPowerSpec:
 
     def for_state(self, state: str) -> float:
         """Power for an interface state (``active``/``cke_off``/``self_refresh``)."""
-        table = {
-            "active": self.active_w,
-            "cke_off": self.cke_off_w,
-            "self_refresh": self.self_refresh_w,
-        }
-        if state not in table:
+        name = _MC_FIELDS.get(state)
+        if name is None:
             raise KeyError(f"unknown MC state {state!r}")
-        return table[state]
+        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -121,14 +127,10 @@ class DramPowerSpec:
 
     def for_state(self, state: str) -> float:
         """Background power for a DRAM power mode label."""
-        table = {
-            "active": self.idle_w,
-            "cke_off": self.cke_off_w,
-            "self_refresh": self.self_refresh_w,
-        }
-        if state not in table:
+        name = _DRAM_FIELDS.get(state)
+        if name is None:
             raise KeyError(f"unknown DRAM state {state!r}")
-        return table[state]
+        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -186,19 +188,12 @@ class SkxPowerBudget:
         ``state`` is ``"L0"``, ``"shallow"`` (L0s/L0p as appropriate)
         or ``"L1"``.
         """
-        def pick(spec: LinkPowerSpec) -> float:
-            if state == "L0":
-                return spec.l0_w
-            if state == "shallow":
-                return spec.shallow_w
-            if state == "L1":
-                return spec.l1_w
+        if state not in _LINK_FIELDS:
             raise KeyError(f"unknown aggregate link state {state!r}")
-
         return (
-            self.n_pcie * pick(self.pcie)
-            + self.n_dmi * pick(self.dmi)
-            + self.n_upi * pick(self.upi)
+            self.n_pcie * self.pcie.for_state_class(state)
+            + self.n_dmi * self.dmi.for_state_class(state)
+            + self.n_upi * self.upi.for_state_class(state)
         )
 
     def soc_power_w(self, package_state: str) -> float:

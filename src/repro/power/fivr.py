@@ -136,13 +136,18 @@ class Fivr:
         if voltage <= 0:
             raise VrError(f"voltage must be positive, got {voltage}")
         current = self.voltage  # snapshot before cancelling the ramp
-        if self._ramp_event is not None:
-            self._ramp_event.cancel()
+        ramp = self._ramp_event
+        if ramp is not None:
+            ramp.cancel()
             self._ramp_event = None
         self._voltage = current
         self._target = voltage
         if abs(voltage - current) < 1e-12:
             self._voltage = voltage
+            if ramp is not None and self.on_voltage_change is not None:
+                # The cancelled ramp had reported its start; report
+                # where the output settled instead.
+                self.on_voltage_change(voltage)
             self.pwr_ok.set(True)
             return 0
         self.pwr_ok.set(False)

@@ -102,7 +102,7 @@ class Gpmu(PackageController):
     def _on_wakeup_signal(self, signal: Signal, old: bool, new: bool) -> None:
         if new:
             self._trigger_exit()
-            signal._apply(False)  # edge-triggered pulse
+            signal.set(False)  # edge-triggered pulse
 
     # -- entry -------------------------------------------------------------
     def _on_all_cc6_change(self, signal: Signal, old: bool, new: bool) -> None:

@@ -1,9 +1,10 @@
 """Tests for signal wires, AND trees and the timed FSM base."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.hw import AndTree, FsmError, Signal, SignalError, TimedFsm
-from repro.sim import Simulator
 
 
 class TestSignal:
@@ -61,23 +62,35 @@ class TestSignal:
         assert bool(Signal("s", value=True))
         assert not bool(Signal("s"))
 
-    def test_delayed_signal_propagates_via_sim(self):
-        sim = Simulator()
-        s = Signal("s", sim=sim, delay_ns=10)
-        seen = []
-        s.watch(lambda sig, old, new: seen.append((sim.now, new)))
+    def test_watch_list_is_snapshot_per_edge(self):
+        # Mid-notification watch/unwatch changes take effect from the
+        # next edge on, never within the round that made them.
+        s = Signal("s")
+        calls = []
+
+        def once(sig, old, new):  # unwatches itself (cf. Apmu._on_pwr_ok)
+            calls.append("once")
+            s.unwatch(once)
+
+        def remover(sig, old, new):
+            calls.append("remover")
+            if new:
+                s.unwatch(victim)
+                s.watch(late)
+
+        def victim(sig, old, new):
+            calls.append("victim")
+
+        def late(sig, old, new):
+            calls.append("late")
+
+        for fn in (once, remover, victim):
+            s.watch(fn)
         s.set(True)
-        assert s.value is False  # not yet propagated
-        sim.run()
-        assert seen == [(10, True)]
-
-    def test_delay_requires_sim(self):
-        with pytest.raises(SignalError):
-            Signal("s", delay_ns=5)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SignalError):
-            Signal("s", sim=Simulator(), delay_ns=-1)
+        assert calls == ["once", "remover", "victim"]
+        calls.clear()
+        s.set(False)
+        assert calls == ["remover", "late"]
 
 
 class TestAndTree:
@@ -129,6 +142,27 @@ class TestAndTree:
         tree = AndTree("t", [Signal("a")])
         with pytest.raises(SignalError):
             tree.levels(fan_in=1)
+
+    @given(
+        st.lists(st.booleans(), min_size=1, max_size=12),
+        st.lists(st.tuples(st.integers(0, 11), st.booleans()), max_size=40),
+    )
+    def test_counting_tree_matches_all_reference(self, initial, sets):
+        inputs = [Signal(f"i{k}", value=v) for k, v in enumerate(initial)]
+        tree = AndTree("t", inputs)
+        edges = []
+        tree.output.watch(lambda sig, old, new: edges.append((old, new)))
+        reference = all(initial)
+        expected = []
+        assert tree.value is reference
+        for index, value in sets:
+            inputs[index % len(inputs)].set(value)
+            now = all(s.value for s in inputs)
+            if now != reference:
+                expected.append((reference, now))
+                reference = now
+            assert tree.value is reference
+        assert edges == expected
 
 
 class _TrafficLight(TimedFsm):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.power.budgets import DEFAULT_BUDGET
 from repro.power.fivr import (
     Fivr,
     Mbvr,
@@ -10,6 +11,7 @@ from repro.power.fivr import (
     vid_to_voltage,
     voltage_to_vid,
 )
+from repro.soc.clm import ClmDomain
 
 
 class TestVidCoding:
@@ -63,9 +65,11 @@ class TestFivrRamps:
         assert not fivr.ramping
 
     def test_set_same_voltage_is_instant(self, sim):
-        fivr = Fivr(sim, "clm")
+        seen = []
+        fivr = Fivr(sim, "clm", on_voltage_change=seen.append)
         assert fivr.set_voltage(0.8) == 0
         assert fivr.pwr_ok.value
+        assert seen == []
 
     def test_ramp_count_increments(self, sim):
         fivr = Fivr(sim, "clm")
@@ -106,6 +110,23 @@ class TestPreemptiveCommands:
         fivr.exit_retention()
         sim.run(until_ns=41)
         assert 0.5 <= fivr.voltage <= 0.8
+
+    def test_cancelled_ramp_reports_settled_voltage(self, sim):
+        seen = []
+        fivr = Fivr(sim, "clm", on_voltage_change=seen.append)
+        fivr.enter_retention()  # reports the ramp start, 0.8 V
+        fivr.exit_retention()  # same instant: lands on 0.8 V, no ramp
+        assert not fivr.ramping
+        assert seen == [pytest.approx(0.8), pytest.approx(0.8)]
+
+    def test_clm_ret_pulse_restores_nominal_power(self, sim, meter):
+        spec = DEFAULT_BUDGET.clm
+        clm = ClmDomain(sim, spec, meter.channel("clm", "package"))
+        clm.ret.set(True)
+        clm.ret.set(False)  # one timestamp: both ramps cancelled at 0.8 V
+        assert clm.channel.power_w == pytest.approx(spec.nominal_w)
+        sim.run(until_ns=1_000)
+        assert clm.channel.energy_j == pytest.approx(spec.nominal_w * 1e-6)
 
 
 class TestFivrValidation:

@@ -113,6 +113,32 @@ class TestRecycleGolden:
                 f"{config_name}/{name} diverged on a recycled machine"
             )
 
+    def test_recycle_mid_clm_ramp_matches_fresh_build(self):
+        """A cell window can end inside a CLM voltage ramp, with both
+        FIVR PwrOk inputs low. The recycled machine's combined PwrOk
+        must still drop on the next ramp, and its results must match
+        a fresh build."""
+        config = config_by_name("CPC1A")
+        machine = ServerMachine(config, seed=1)
+        machine.checkpoint()
+        machine.clm.ret.set(True)  # both FIVRs start ramping down
+        assert machine.clm.fivrs[0].ramping
+        assert not machine.clm.pwr_ok.value
+        machine.recycle(config, 2)
+        assert machine.clm.pwr_ok.value
+        machine.clm.ret.set(True)  # ramp again, then recycle mid-ramp
+        assert not machine.clm.pwr_ok.value
+        machine.recycle(config, 2)
+        warm = run_experiment(
+            scenarios.build("memcached", 20_000.0, "low"), config,
+            duration_ns=3 * MS, warmup_ns=1 * MS, seed=2, machine=machine,
+        )
+        cold = run_experiment(
+            scenarios.build("memcached", 20_000.0, "low"), config,
+            duration_ns=3 * MS, warmup_ns=1 * MS, seed=2,
+        )
+        assert result_blob(warm) == result_blob(cold)
+
     def test_recycle_requires_checkpoint(self):
         config = config_by_name("CPC1A")
         machine = ServerMachine(config, seed=1)
