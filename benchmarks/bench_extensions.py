@@ -84,18 +84,15 @@ def bench_race_to_halt_vs_dvfs(benchmark):
         )
         slow_config = dataclasses.replace(cshallow(), soc=slow_soc, name="Cdvfs-Pn")
         # Service stretches by the frequency ratio at the low P-state.
-        stretched = MemcachedWorkload(qps)
         scale = SKX_PSTATES.service_scale(pn)
-        original = stretched.OCCUPANCY
 
-        class _Stretched:
-            def mean_ns(self, offered_qps):
-                return original.mean_ns(offered_qps) * scale
+        class _Stretched(MemcachedWorkload):
+            def _make_request(self, rng):
+                request = super()._make_request(rng)
+                request.service_ns = int(request.service_ns * scale)
+                return request
 
-            def sample_ns(self, rng, offered_qps):
-                return int(original.sample_ns(rng, offered_qps) * scale)
-
-        stretched.OCCUPANCY = _Stretched()
+        stretched = _Stretched(qps)
         results["DVFS (Pn, no PC1A)"] = measure(
             stretched, slow_config, seed=4, duration_ns=150 * MS
         )

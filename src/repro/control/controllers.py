@@ -138,26 +138,35 @@ class SleepScaleController(Controller):
         service_ns = plane.arrivals.mean_service_ns
         cores = plane.cores_per_server
         core = plane.core_spec
+        n_servers = plane.n_servers
         slo_budget = PREDICT_MARGIN * plane.slo_p99_ns - plane.overhead_ns
+        # Per P-state: (name, offered work, stretched service, dynamic
+        # watts), the same for every active count, so taken once a tick.
+        ladder: list[tuple[str, float, float, float]] = []
+        for state in table.states:
+            scale = table.service_scale(state)
+            work = rate * service_ns * scale
+            dyn_w = core.cc0_w * table.power_scale(state) - core.cc1_w
+            ladder.append((state.name, work, service_ns * scale, dyn_w))
         best: tuple[int, str] | None = None
         best_power = math.inf
-        for n_active in range(1, plane.n_servers + 1):
-            for state in table.states:
-                scale = table.service_scale(state)
-                rho = rate * service_ns * scale / (n_active * cores)
+        for n_active in range(1, n_servers + 1):
+            capacity = n_active * cores
+            parked_w = (n_servers - n_active) * PARKED_W
+            # The ladder runs fastest first, so work and stretched
+            # service only grow along it: once a state is infeasible,
+            # every slower one is too.
+            for name, work, stretched_ns, dyn_w in ladder:
+                rho = work / capacity
                 if rho >= RHO_CAP:
-                    continue
-                mean_ns = service_ns * scale / (1.0 - rho)
+                    break
+                mean_ns = stretched_ns / (1.0 - rho)
                 if P99_OVER_MEAN * mean_ns > slo_budget:
-                    continue
-                dyn_w = core.cc0_w * table.power_scale(state) - core.cc1_w
-                power = (
-                    n_active * (ACTIVE_IDLE_W + cores * rho * dyn_w)
-                    + (plane.n_servers - n_active) * PARKED_W
-                )
+                    break
+                power = n_active * (ACTIVE_IDLE_W + cores * rho * dyn_w) + parked_w
                 if power < best_power:
                     best_power = power
-                    best = (n_active, state.name)
+                    best = (n_active, name)
         return best
 
 

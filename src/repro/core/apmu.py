@@ -32,6 +32,13 @@ from repro.hw.signals import AndTree, Signal
 from repro.sim.engine import Simulator
 from repro.soc.package import PackageController, PackageCState
 
+#: Package residency labels as plain strings: an enum's ``.value`` is a
+#: descriptor call on every flow step.
+_PC0 = PackageCState.PC0.value
+_ACC1 = PackageCState.ACC1.value
+_PC1A = PackageCState.PC1A.value
+_TRANSITION = PackageCState.TRANSITION.value
+
 
 @dataclass(frozen=True)
 class ApmuTimings:
@@ -201,7 +208,7 @@ class Apmu(PackageController):
         if new:
             if self._phase == "pc0":
                 self._phase = "acc1"
-                self.residency.enter(PackageCState.ACC1.value)
+                self.residency.enter(_ACC1)
                 self.iosm.allow_l0s.set(True)
                 self._maybe_begin_entry()
         else:
@@ -214,7 +221,7 @@ class Apmu(PackageController):
 
     def _to_pc0(self) -> None:
         self._phase = "pc0"
-        self.residency.enter(PackageCState.PC0.value)
+        self.residency.enter(_PC0)
         self.iosm.allow_l0s.set(False)
 
     # -- entry -------------------------------------------------------------
@@ -230,7 +237,7 @@ class Apmu(PackageController):
         timings = self.timings
         self._phase = "entering"
         self._wake_pending = False
-        self.residency.enter(PackageCState.TRANSITION.value)
+        self.residency.enter(_TRANSITION)
         self.sim.schedule(timings.entry_clk_gate_at_ns, self._entry_gate_clm)
         self.sim.schedule(timings.entry_ret_at_ns, self._entry_drop_voltage)
         self.sim.schedule(timings.entry_cke_at_ns, self._entry_allow_cke_off)
@@ -249,7 +256,7 @@ class Apmu(PackageController):
     def _entry_declare(self) -> None:
         self._phase = "pc1a"
         self.pc1a_entries += 1
-        self.residency.enter(PackageCState.PC1A.value)
+        self.residency.enter(_PC1A)
         self.in_pc1a.set(True)
         if self._wake_pending:
             self._wake_pending = False
@@ -263,7 +270,7 @@ class Apmu(PackageController):
         self._phase = "exiting"
         self._wake_started_ns = self.sim.now
         self.pc1a_exits += 1
-        self.residency.enter(PackageCState.TRANSITION.value)
+        self.residency.enter(_TRANSITION)
         self.in_pc1a.set(False)
         self._exit_branches_pending = 2
         self.sim.schedule(timings.exit_ret_release_at_ns, self._exit_branch_clm)
@@ -294,7 +301,7 @@ class Apmu(PackageController):
         self.exit_latency_max_ns = max(self.exit_latency_max_ns, latency)
         self._wake_started_ns = None
         self._phase = "acc1"
-        self.residency.enter(PackageCState.ACC1.value)
+        self.residency.enter(_ACC1)
         self._release_wake_waiters()
         # A core interrupt drops AllInCC1 before its wake request
         # reaches us, so this check routes interrupt wakes to PC0 and

@@ -29,25 +29,17 @@ class ClmrController:
 
     def __init__(self, clm: ClmDomain):
         self.clm = clm
+        # Pass-through wires, bound once: the APMU flow reads them on
+        # every PC1A entry and exit.
+        #: The ``Ret`` wire into both CLM FIVRs.
+        self.ret = clm.ret
+        #: Combined ``PwrOk`` from both CLM FIVRs.
+        self.pwr_ok = clm.pwr_ok
+        #: The ``ClkGate`` wire into the CLM clock-tree control.
+        self.clk_gate = clm.clock_tree.clk_gate
         self.retention_entries = 0
         if not clm.pll.locked:
             raise ClmrError("CLMR requires the CLM PLL locked at attach time")
-
-    # -- pass-through wires ------------------------------------------------
-    @property
-    def ret(self):
-        """The ``Ret`` wire into both CLM FIVRs."""
-        return self.clm.ret
-
-    @property
-    def pwr_ok(self):
-        """Combined ``PwrOk`` from both CLM FIVRs."""
-        return self.clm.pwr_ok
-
-    @property
-    def clk_gate(self):
-        """The ``ClkGate`` wire into the CLM clock-tree control."""
-        return self.clm.clock_tree.clk_gate
 
     # -- invariant-checked operations ------------------------------------------
     def gate_and_drop(self) -> None:

@@ -173,7 +173,7 @@ class MemoryController:
         self._transition_event = None
         self.state = target
         self.residency.enter(target)
-        self.channel.set_power(self.spec.for_state(target))
+        self.channel.set_power(self.spec.watts[target])
         self.device.set_mode(_DEVICE_MODE[target])
         if on_done is not None:
             on_done()

@@ -25,6 +25,11 @@ class DramPowerMode(str, Enum):
     SELF_REFRESH = "self_refresh"
 
 
+#: Residency label of each mode, as a plain string: an enum's ``.value``
+#: is a descriptor call on every mode change.
+_MODE_LABEL = {mode: mode.value for mode in DramPowerMode}
+
+
 class DramDevice:
     """The DRAM devices behind one memory-controller channel."""
 
@@ -40,7 +45,7 @@ class DramDevice:
         self.spec = spec
         self.channel = channel
         self.mode = DramPowerMode.ACTIVE
-        self.residency = ResidencyCounter(sim, DramPowerMode.ACTIVE.value)
+        self.residency = ResidencyCounter(sim, _MODE_LABEL[DramPowerMode.ACTIVE])
         self.bytes_accessed = 0
         channel.set_power(spec.idle_w)
 
@@ -49,8 +54,9 @@ class DramDevice:
         if mode == self.mode:
             return
         self.mode = mode
-        self.residency.enter(mode.value)
-        self.channel.set_power(self.spec.for_state(mode.value))
+        label = _MODE_LABEL[mode]
+        self.residency.enter(label)
+        self.channel.set_power(self.spec.watts[label])
 
     def access(self, n_bytes: int) -> None:
         """Charge access energy for a burst.

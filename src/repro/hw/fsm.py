@@ -110,7 +110,7 @@ class TimedFsm:
         hook = self._EXIT_HOOKS.get(old)
         if hook is not None:
             hook(self)
-        now = self.sim._now
+        now = self.sim.now
         self.state = state
         self.state_entered_at = now
         self.log.append((now, old, state))

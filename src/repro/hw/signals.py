@@ -40,25 +40,28 @@ class Signal:
 
     def __init__(self, name: str, value: bool = False):
         self.name = name
-        self._value = bool(value)
+        #: Current level of the wire, always a real bool. A plain
+        #: attribute, read on every edge of the APC flows; only
+        #: :meth:`set` writes it (lint rule RPR008 flags other writes).
+        self.value = bool(value)
         self._watchers: tuple[WatchFn, ...] = ()
         self.transitions = 0
 
-    @property
-    def value(self) -> bool:
-        """Current level of the wire."""
-        return self._value
-
     def set(self, value: bool) -> None:
-        """Drive the wire; watchers fire only on an actual change."""
-        value = bool(value)
-        if value == self._value:
+        """Drive the wire; watchers fire only on an actual change.
+
+        Any truthy ``value`` drives the wire high, any falsy one low;
+        the stored level and the ``old``/``new`` watchers see are
+        always real bools.
+        """
+        new = True if value else False
+        if new is self.value:
             return
-        self._value = value
+        self.value = new
         self.transitions += 1
-        old = not value
+        old = not new
         for fn in self._watchers:
-            fn(self, old, value)
+            fn(self, old, new)
 
     def assert_(self) -> None:
         """Drive the wire high (hardware-spec vocabulary)."""
@@ -79,10 +82,10 @@ class Signal:
         self._watchers = tuple(watchers)
 
     def __bool__(self) -> bool:
-        return self._value
+        return self.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"Signal({self.name!r}, {'1' if self._value else '0'})"
+        return f"Signal({self.name!r}, {'1' if self.value else '0'})"
 
 
 class _TreeOutput(Signal):

@@ -185,8 +185,9 @@ class IoLink:
             self._maybe_arm_idle_timer()
         else:
             self._idle_timer.cancel()
-            if self.ltssm.in_shallow:
-                self.ltssm.exit_shallow()
+            ltssm = self.ltssm
+            if ltssm.state == ltssm.shallow_state:  # Ltssm.in_shallow
+                ltssm.exit_shallow()
                 self.in_l0s.set(False)
 
     def _maybe_arm_idle_timer(self) -> None:
@@ -210,7 +211,7 @@ class IoLink:
         # InL0s also drops eagerly in _notify_wake and on allow changes.
         power_class, in_l0s = _STATE_SYNC[state]
         self.residency.enter(state)
-        self.channel.set_power(self.power_spec.for_state_class(power_class))
+        self.channel.set_power(self.power_spec.watts[power_class])
         self.in_l0s.set(in_l0s)
 
 

@@ -1,4 +1,4 @@
-"""The built-in rules (``RPR001``..``RPR007``).
+"""The built-in rules (``RPR001``..``RPR008``).
 
 Each rule enforces one of the repo's simulation invariants; the
 docstrings here are the catalog ``repro lint --explain`` and
@@ -642,3 +642,74 @@ def check_raw_pstate_table(ctx: FileContext) -> Iterator[Finding]:
             "select a named ladder with pstate.table/pstate.nominal "
             "(repro.props) so sweep keys and the control plane see it",
         )
+
+
+# -- RPR008 ----------------------------------------------------------------
+
+
+def _attribute_targets(node: ast.expr) -> Iterator[ast.Attribute]:
+    """The attribute stores among an assignment target (unpacking too)."""
+    if isinstance(node, ast.Attribute):
+        yield node
+    elif isinstance(node, (ast.Tuple, ast.List)):
+        for element in node.elts:
+            yield from _attribute_targets(element)
+    elif isinstance(node, ast.Starred):
+        yield from _attribute_targets(node.value)
+
+
+def _is_kernel(ctx: FileContext) -> bool:
+    return ctx.path.parts[-3:] == ("repro", "sim", "engine.py")
+
+
+@register_rule(
+    "RPR008",
+    name="clock-or-wire-write",
+    summary="assignment to a simulator's .now or another object's .value",
+    domains=("sim", "tools", "test"),
+)
+def check_clock_and_wire_writes(ctx: FileContext) -> Iterator[Finding]:
+    """Keep the simulator clock and wire levels single-writer.
+
+    ``Simulator.now`` and ``Signal.value`` are plain attributes, read
+    on every event and every wire edge, so nothing but convention
+    stops a write. Only the kernel (``repro/sim/engine.py``) may move
+    the clock: a model that sets ``sim.now`` desynchronizes every power
+    channel's and residency counter's integration from the event
+    queue. Only ``Signal.set`` may change a wire's level: it fires the
+    watchers, counts the edge and keeps the AND trees' low-input counts
+    exact, and a direct ``wire.value = ...`` skips all three.
+
+    The rule flags any assignment (plain, augmented or annotated,
+    unpacking included) to ``<expr>.now`` outside the kernel module,
+    and to ``<expr>.value`` where ``<expr>`` is not ``self`` — a class
+    writing its own ``value`` (``Signal.set``, ``WaitEvent.trigger``)
+    is fine. Drive wires with ``Signal.set`` and advance time with
+    ``sim.run``/``sim.step``.
+    """
+    kernel = _is_kernel(ctx)
+    for node in ast.walk(ctx.tree):
+        targets: list[ast.expr]
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for attr in _attribute_targets(target):
+                if attr.attr == "now" and not kernel:
+                    yield ctx.finding(
+                        "RPR008", attr,
+                        "assignment to .now outside the event kernel; only "
+                        "repro/sim/engine.py moves the simulator clock",
+                    )
+                elif attr.attr == "value" and not (
+                    isinstance(attr.value, ast.Name) and attr.value.id == "self"
+                ):
+                    yield ctx.finding(
+                        "RPR008", attr,
+                        "assignment to another object's .value; drive a "
+                        "wire with Signal.set so watchers and edge counts "
+                        "see the change",
+                    )

@@ -21,9 +21,10 @@ edit that breaks the ledger fails fast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import ClassVar
 
-#: State label -> spec field holding its power, per spec class. Module
-#: constants, so a ``for_state`` lookup builds nothing per call.
+#: State label -> spec field holding its power, per spec class.
 _CORE_FIELDS = {"CC0": "cc0_w", "CC1": "cc1_w", "CC1E": "cc1e_w", "CC6": "cc6_w"}
 _LINK_FIELDS = {"L0": "l0_w", "shallow": "shallow_w", "L1": "l1_w"}
 _MC_FIELDS = {
@@ -38,8 +39,29 @@ _DRAM_FIELDS = {
 }
 
 
+class _WattsTable:
+    """A frozen spec's label -> watts table, built once.
+
+    The per-transition paths of the component models index ``watts``
+    instead of calling ``for_state``. The table is built in
+    ``__post_init__``, before any machine checkpoint captures the spec,
+    and never changes afterwards.
+    """
+
+    #: State label -> the spec field holding its power.
+    _FIELDS: ClassVar[dict[str, str]] = {}
+
+    def __post_init__(self) -> None:
+        self.watts  # build the table now, before any checkpoint captures it
+
+    @cached_property
+    def watts(self) -> dict[str, float]:
+        """State label -> watts."""
+        return {label: getattr(self, name) for label, name in self._FIELDS.items()}
+
+
 @dataclass(frozen=True)
-class CorePowerSpec:
+class CorePowerSpec(_WattsTable):
     """Per-core power by core C-state, in watts."""
 
     cc0_w: float = 5.31
@@ -48,20 +70,24 @@ class CorePowerSpec:
     cc6_w: float = 0.0
     transition_w: float = 2.6  # draw while entering/exiting a C-state
 
+    _FIELDS = _CORE_FIELDS
+
     def for_state(self, state: str) -> float:
         """Power for a core C-state label (``CC0``/``CC1``/``CC1E``/``CC6``)."""
-        name = _CORE_FIELDS.get(state)
-        if name is None:
-            raise KeyError(f"unknown core C-state {state!r}")
-        return getattr(self, name)
+        try:
+            return self.watts[state]
+        except KeyError:
+            raise KeyError(f"unknown core C-state {state!r}") from None
 
 
 @dataclass(frozen=True)
-class LinkPowerSpec:
+class LinkPowerSpec(_WattsTable):
     """Per-link power by L-state, in watts.
 
     ``shallow_w`` is the link's agile standby state: L0s for PCIe and
     DMI, L0p for UPI (which does not support L0s — paper footnote 3).
+    Its ``watts`` table is keyed by coarse L-state class (``L0``,
+    ``shallow``, ``L1``), like :meth:`for_state_class`.
     """
 
     kind: str
@@ -69,6 +95,8 @@ class LinkPowerSpec:
     shallow_w: float
     l1_w: float
     shallow_state: str = "L0s"
+
+    _FIELDS = _LINK_FIELDS
 
     def for_state(self, state: str) -> float:
         """Power for an L-state label; L0p/L0s both map to ``shallow_w``."""
@@ -82,10 +110,10 @@ class LinkPowerSpec:
 
     def for_state_class(self, power_class: str) -> float:
         """Power for a coarse L-state class (``L0``/``shallow``/``L1``)."""
-        name = _LINK_FIELDS.get(power_class)
-        if name is None:
-            raise KeyError(f"unknown link power class {power_class!r}")
-        return getattr(self, name)
+        try:
+            return self.watts[power_class]
+        except KeyError:
+            raise KeyError(f"unknown link power class {power_class!r}") from None
 
 
 PCIE_POWER = LinkPowerSpec(kind="pcie", l0_w=1.30, shallow_w=0.55, l1_w=0.25)
@@ -96,23 +124,25 @@ UPI_POWER = LinkPowerSpec(
 
 
 @dataclass(frozen=True)
-class MemoryControllerPowerSpec:
+class MemoryControllerPowerSpec(_WattsTable):
     """Per-memory-controller power by DRAM interface state, in watts."""
 
     active_w: float = 2.42
     cke_off_w: float = 1.25
     self_refresh_w: float = 0.70
 
+    _FIELDS = _MC_FIELDS
+
     def for_state(self, state: str) -> float:
         """Power for an interface state (``active``/``cke_off``/``self_refresh``)."""
-        name = _MC_FIELDS.get(state)
-        if name is None:
-            raise KeyError(f"unknown MC state {state!r}")
-        return getattr(self, name)
+        try:
+            return self.watts[state]
+        except KeyError:
+            raise KeyError(f"unknown MC state {state!r}") from None
 
 
 @dataclass(frozen=True)
-class DramPowerSpec:
+class DramPowerSpec(_WattsTable):
     """Per-channel DRAM *device* power by power mode, in watts.
 
     The dynamic term models access energy: the paper's 7 W DRAM figure
@@ -125,12 +155,14 @@ class DramPowerSpec:
     self_refresh_w: float = 0.255
     access_energy_j_per_byte: float = 160e-12
 
+    _FIELDS = _DRAM_FIELDS
+
     def for_state(self, state: str) -> float:
         """Background power for a DRAM power mode label."""
-        name = _DRAM_FIELDS.get(state)
-        if name is None:
-            raise KeyError(f"unknown DRAM state {state!r}")
-        return getattr(self, name)
+        try:
+            return self.watts[state]
+        except KeyError:
+            raise KeyError(f"unknown DRAM state {state!r}") from None
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,10 @@ class Fivr:
         self._ramp_started_at = sim.now
         self._ramp_from = nominal_v
         self._ramp_event: Event | None = None
+        #: True while the output is slewing toward the target. A plain
+        #: attribute (the CLM reads it on every voltage change); only
+        #: :meth:`set_voltage` and the ramp's settle write it.
+        self.ramping = False
         self.pwr_ok = Signal(f"{name}.PwrOk", value=True)
         self.ramp_count = 0
 
@@ -110,7 +114,7 @@ class Fivr:
     @property
     def voltage(self) -> float:
         """Instantaneous output voltage (linear mid-ramp estimate)."""
-        if self._ramp_event is None or not self._ramp_event.pending:
+        if not self.ramping:
             return self._voltage
         elapsed = self.sim.now - self._ramp_started_at
         direction = 1.0 if self._target > self._ramp_from else -1.0
@@ -119,11 +123,6 @@ class Fivr:
         if direction > 0:
             return min(candidate, self._target)
         return max(candidate, self._target)
-
-    @property
-    def ramping(self) -> bool:
-        """True while the output is slewing toward the target."""
-        return self._ramp_event is not None and self._ramp_event.pending
 
     # -- commands ----------------------------------------------------------
     def set_voltage(self, voltage: float) -> int:
@@ -140,6 +139,7 @@ class Fivr:
         if ramp is not None:
             ramp.cancel()
             self._ramp_event = None
+            self.ramping = False
         self._voltage = current
         self._target = voltage
         if abs(voltage - current) < 1e-12:
@@ -156,6 +156,7 @@ class Fivr:
         self._ramp_started_at = self.sim.now
         ramp_ns = slew_time_ns(voltage - current, self.slew_v_per_ns)
         self._ramp_event = self.sim.schedule(ramp_ns, self._settle)
+        self.ramping = True
         if self.on_voltage_change is not None:
             self.on_voltage_change(current)
         return ramp_ns
@@ -171,6 +172,7 @@ class Fivr:
     # -- internals ---------------------------------------------------------
     def _settle(self) -> None:
         self._ramp_event = None
+        self.ramping = False
         self._voltage = self._target
         if self.on_voltage_change is not None:
             self.on_voltage_change(self._voltage)

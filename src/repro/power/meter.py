@@ -64,7 +64,7 @@ class PowerChannel:
         """
         if power_w < 0:
             raise ValueError(f"power must be non-negative, got {power_w}")
-        now = self._sim._now
+        now = self._sim.now
         last = self._last_ns
         if now > last:
             self._energy_j += self._power_w * ((now - last) / _NS_PER_S)
@@ -79,7 +79,7 @@ class PowerChannel:
 
     def sync(self) -> None:
         """Integrate the draw up to the current simulation time."""
-        now = self._sim._now
+        now = self._sim.now
         last = self._last_ns
         if now > last:
             self._energy_j += self._power_w * ((now - last) / _NS_PER_S)
@@ -153,7 +153,7 @@ class PowerMeter:
 
     def sync_all(self) -> None:
         """Integrate every channel up to the current simulation time."""
-        now = self.sim._now
+        now = self.sim.now
         for channel in self._channels.values():
             last = channel._last_ns
             if now > last:

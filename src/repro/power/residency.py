@@ -37,7 +37,7 @@ class ResidencyCounter:
         old = self.state
         if state == old:
             return
-        now = self.sim._now
+        now = self.sim.now
         since = self._since
         if now > since:
             self._residency_ns[old] += now - since
@@ -47,7 +47,7 @@ class ResidencyCounter:
 
     def sync(self) -> None:
         """Attribute elapsed time to the current state."""
-        now = self.sim._now
+        now = self.sim.now
         if now > self._since:
             self._residency_ns[self.state] += now - self._since
             self._since = now

@@ -160,10 +160,11 @@ class ServerMachine:
         # DVFS: the machine boots in config.pstate_nominal and tracks
         # per-P-state residency; controllers move it via set_pstate().
         self.pstates = pstate_table_by_name(config.pstate_table)
+        self._nominal_pstate = self.pstates.nominal
         self._pstate = self.pstates.by_name(config.pstate_nominal)
         self._pstate_since = self.sim.now
         self.pstate_ns: dict[str, int] = {}
-        if self._pstate is not self.pstates.nominal:
+        if self._pstate is not self._nominal_pstate:
             scaled = self.pstates.scaled_core_spec(budget.core, self._pstate)
             for core in self.cores:
                 core.set_spec(scaled)
@@ -269,7 +270,10 @@ class ServerMachine:
 
     def _dispatch(self, request: Request) -> None:
         core = self.dispatcher.pick()
-        service_ns = self.pstates.scaled_service_ns(request.service_ns, self._pstate)
+        service_ns = request.service_ns
+        if self._pstate is not self._nominal_pstate:
+            # At nominal the scaling is the identity; skip its rounding.
+            service_ns = self.pstates.scaled_service_ns(service_ns, self._pstate)
         job = Job(request, service_ns, on_complete=self._job_complete)
         core.submit(job)
 
@@ -284,7 +288,11 @@ class ServerMachine:
             self._next_mc += 1
             mc.access(request.dram_bytes)
         self.requests_completed += 1
-        self.latency.record(request.server_latency_ns)
+        # Request.server_latency_ns, inlined: it runs once per request.
+        arrival_ns = request.arrival_ns
+        if arrival_ns is None:
+            raise ValueError("request has not completed")
+        self.latency.record(now - arrival_ns)
         self.nic.send_response(request)
         if self.on_request_complete is not None:
             self.on_request_complete(request)
@@ -310,7 +318,7 @@ class ServerMachine:
         self._pstate = state
         spec = (
             self.budget.core
-            if state is self.pstates.nominal
+            if state is self._nominal_pstate
             else self.pstates.scaled_core_spec(self.budget.core, state)
         )
         for core in self.cores:

@@ -152,7 +152,10 @@ class Simulator:
 
     def __init__(self, seed: int = 0, *, sanitize: bool | None = None) -> None:
         self._queue: list[tuple[int, int, Event]] = []
-        self._now: int = 0
+        #: Current simulation time in nanoseconds. A plain attribute
+        #: (a property read costs a call per event on every model's hot
+        #: path); only the kernel's run/step/reset write it.
+        self.now: int = 0
         self._seq: int = 0
         self._events_processed: int = 0
         self._events_reused: int = 0
@@ -169,18 +172,12 @@ class Simulator:
         self.rng: np.random.Generator = np.random.default_rng(seed)
         self.seed = seed
 
-    # -- clock ---------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
+    # -- kernel observability ---------------------------------------------
     @property
     def events_processed(self) -> int:
         """Number of events executed so far (for diagnostics)."""
         return self._events_processed
 
-    # -- kernel observability ---------------------------------------------
     @property
     def heap_size(self) -> int:
         """Entries currently in the heap (live + lazily-cancelled)."""
@@ -231,7 +228,7 @@ class Simulator:
             "cancelled_in_heap": self._cancelled_in_heap,
             "cancelled_ratio": self.cancelled_ratio,
             "heap_compactions": self._heap_compactions,
-            "sim_time_ns": self._now,
+            "sim_time_ns": self.now,
         }
 
     # -- scheduling ------------------------------------------------------
@@ -241,7 +238,7 @@ class Simulator:
             delay_ns = _as_int_ns(delay_ns)
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_ns})")
-        time_ns = self._now + delay_ns
+        time_ns = self.now + delay_ns
         seq = self._seq
         self._seq = seq + 1
         event = _new_event(Event)
@@ -254,7 +251,7 @@ class Simulator:
         event._sim = self
         event._in_heap = True
         if self._sanitizer is not None:
-            self._sanitizer.note_scheduled(seq, self._now, fn)
+            self._sanitizer.note_scheduled(seq, self.now, fn)
         queue = self._queue
         _heappush(queue, (time_ns, seq, event))
         if len(queue) > self._peak_heap_size:
@@ -265,9 +262,9 @@ class Simulator:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
         if type(time_ns) is not int:
             time_ns = _as_int_ns(time_ns)
-        if time_ns < self._now:
+        if time_ns < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time_ns} before now={self._now}"
+                f"cannot schedule at t={time_ns} before now={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -281,7 +278,7 @@ class Simulator:
         event._sim = self
         event._in_heap = True
         if self._sanitizer is not None:
-            self._sanitizer.note_scheduled(seq, self._now, fn)
+            self._sanitizer.note_scheduled(seq, self.now, fn)
         queue = self._queue
         _heappush(queue, (time_ns, seq, event))
         if len(queue) > self._peak_heap_size:
@@ -306,7 +303,7 @@ class Simulator:
             delay_ns = _as_int_ns(delay_ns)
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_ns})")
-        time_ns = self._now + delay_ns
+        time_ns = self.now + delay_ns
         seq = self._seq
         self._seq = seq + 1
         event.time = time_ns
@@ -315,7 +312,7 @@ class Simulator:
         event.fired = False
         event._in_heap = True
         if self._sanitizer is not None:
-            self._sanitizer.note_scheduled(seq, self._now, event.fn)
+            self._sanitizer.note_scheduled(seq, self.now, event.fn)
         self._events_reused += 1
         queue = self._queue
         _heappush(queue, (time_ns, seq, event))
@@ -361,7 +358,7 @@ class Simulator:
             if event.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
-            self._now = time_ns
+            self.now = time_ns
             event.fired = True
             self._events_processed += 1
             if sanitizer is not None:
@@ -398,16 +395,16 @@ class Simulator:
                     if event.cancelled:
                         self._cancelled_in_heap -= 1
                         continue
-                    self._now = time_ns
+                    self.now = time_ns
                     event.fired = True
                     self._events_processed += 1
                     event.fn(*event.args)
                 return
             if type(until_ns) is not int:
                 until_ns = _as_int_ns(until_ns)
-            if until_ns < self._now:
+            if until_ns < self.now:
                 raise SimulationError(
-                    f"cannot run until t={until_ns} before now={self._now}"
+                    f"cannot run until t={until_ns} before now={self.now}"
                 )
             while queue and queue[0][0] <= until_ns:
                 time_ns, _seq, event = pop(queue)
@@ -415,11 +412,11 @@ class Simulator:
                 if event.cancelled:
                     self._cancelled_in_heap -= 1
                     continue
-                self._now = time_ns
+                self.now = time_ns
                 event.fired = True
                 self._events_processed += 1
                 event.fn(*event.args)
-            self._now = until_ns
+            self.now = until_ns
         finally:
             self._running = False
 
@@ -431,9 +428,9 @@ class Simulator:
             if until_ns is not None:
                 if type(until_ns) is not int:
                     until_ns = _as_int_ns(until_ns)
-                if until_ns < self._now:
+                if until_ns < self.now:
                     raise SimulationError(
-                        f"cannot run until t={until_ns} before now={self._now}"
+                        f"cannot run until t={until_ns} before now={self.now}"
                     )
             queue = self._queue
             pop = _heappop
@@ -443,13 +440,13 @@ class Simulator:
                 if event.cancelled:
                     self._cancelled_in_heap -= 1
                     continue
-                self._now = time_ns
+                self.now = time_ns
                 event.fired = True
                 self._events_processed += 1
                 sanitizer.observe(time_ns, _seq, event.fn)
                 event.fn(*event.args)
             if until_ns is not None:
-                self._now = until_ns
+                self.now = until_ns
         finally:
             self._running = False
 
@@ -488,7 +485,7 @@ class Simulator:
             event._in_heap = False
             event.cancelled = True
         self._queue.clear()
-        self._now = 0
+        self.now = 0
         self._seq = 0
         self._events_processed = 0
         self._events_reused = 0
@@ -513,4 +510,4 @@ class Simulator:
         return queue[0][0] if queue else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"Simulator(now={self._now}, pending={len(self._queue)})"
+        return f"Simulator(now={self.now}, pending={len(self._queue)})"

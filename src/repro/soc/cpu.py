@@ -134,7 +134,7 @@ class Core:
         elif self._mode in ("entering", "waking"):
             self.channel.set_power(spec.transition_w)
         else:  # idle
-            self.channel.set_power(spec.for_state(self._cstate.name))
+            self.channel.set_power(spec.watts[self._cstate.name])
 
     # -- work submission -----------------------------------------------------
     def submit(self, job: Job) -> None:
@@ -169,10 +169,11 @@ class Core:
     def _entry_complete(self) -> None:
         self._entry_event = None
         self._mode = "idle"
-        self.channel.set_power(self.spec.for_state(self._cstate.name))
-        self.residency.enter(self._cstate.name)
-        self.in_cc1.set(self._cstate.depth >= 1)
-        self.in_cc6.set(self._cstate.depth >= 3)
+        cstate = self._cstate
+        self.channel.set_power(self.spec.watts[cstate.name])
+        self.residency.enter(cstate.name)
+        self.in_cc1.set(cstate.depth >= 1)
+        self.in_cc6.set(cstate.depth >= 3)
         if self._wake_pending:
             self._wake_pending = False
             self._begin_wake()

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 
 @dataclass(frozen=True)
 class Tile:
@@ -41,7 +39,8 @@ class SkxFloorplan:
         self.n_cores = n_cores
         self.mesh_cols = mesh_cols
         self.tiles: dict[str, Tile] = {}
-        self.graph = nx.Graph()
+        #: Mesh connectivity: tile name -> names of its neighbours.
+        self.adjacency: dict[str, set[str]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -71,18 +70,22 @@ class SkxFloorplan:
                 if other in positions:
                     for a in names:
                         for b in positions[other]:
-                            self.graph.add_edge(a, b)
+                            self._link(a, b)
             # Co-located tiles (e.g. gpmu sharing a north-cap slot).
             for a in names:
                 for b in names:
                     if a != b:
-                        self.graph.add_edge(a, b)
+                        self._link(a, b)
 
     def _add_tile(self, tile: Tile) -> None:
         if tile.name in self.tiles:
             raise ValueError(f"duplicate tile {tile.name!r}")
         self.tiles[tile.name] = tile
-        self.graph.add_node(tile.name)
+        self.adjacency[tile.name] = set()
+
+    def _link(self, a: str, b: str) -> None:
+        self.adjacency[a].add(b)
+        self.adjacency[b].add(a)
 
     # -- metrics ---------------------------------------------------------
     def manhattan_hops(self, src: str, dst: str) -> int:
@@ -91,8 +94,28 @@ class SkxFloorplan:
         return abs(a.row - b.row) + abs(a.col - b.col)
 
     def routed_hops(self, src: str, dst: str) -> int:
-        """Hops along the mesh graph (>= Manhattan distance)."""
-        return nx.shortest_path_length(self.graph, src, dst)
+        """Hops along the mesh graph (>= Manhattan distance).
+
+        A breadth-first search from ``src``: the mesh is unweighted.
+        """
+        for name in (src, dst):
+            if name not in self.tiles:
+                raise KeyError(f"unknown tile {name!r}")
+        seen = {src}
+        frontier = [src]
+        hops = 0
+        while frontier:
+            if dst in seen:
+                return hops
+            hops += 1
+            reached: list[str] = []
+            for name in frontier:
+                for other in self.adjacency[name]:
+                    if other not in seen:
+                        seen.add(other)
+                        reached.append(other)
+            frontier = reached
+        raise ValueError(f"no mesh path from {src!r} to {dst!r}")
 
     def direct_star_wirelength(self, hub: str, leaves: list[str]) -> int:
         """Total hops routing every leaf individually to the hub."""

@@ -36,6 +36,13 @@ from repro.soc.clm import ClmDomain
 from repro.soc.package import PackageController, PackageCState
 from repro.units import US
 
+#: Package residency labels as plain strings: an enum's ``.value`` is a
+#: descriptor call on every flow step and wake check.
+_PC0 = PackageCState.PC0.value
+_PC2 = PackageCState.PC2.value
+_PC6 = PackageCState.PC6.value
+_TRANSITION = PackageCState.TRANSITION.value
+
 
 @dataclass(frozen=True)
 class Pc6FlowTimings:
@@ -86,17 +93,17 @@ class Gpmu(PackageController):
     # -- PackageController interface ------------------------------------------
     @property
     def memory_path_open(self) -> bool:
-        return self.package_state == PackageCState.PC0.value
+        return self.package_state == _PC0
 
     def _trigger_exit(self) -> None:
         self._wake_pending = True
-        if not self._flow_active and self.package_state == PackageCState.PC6.value:
+        if not self._flow_active and self.package_state == _PC6:
             self._flow_active = True
             Process(self.sim, self._exit_flow(), name="gpmu-exit")
 
     # -- wake sources ----------------------------------------------------
     def _on_link_wake(self, link_name: str) -> None:
-        if self.package_state != PackageCState.PC0.value:
+        if self.package_state != _PC0:
             self._trigger_exit()
 
     def _on_wakeup_signal(self, signal: Signal, old: bool, new: bool) -> None:
@@ -112,7 +119,7 @@ class Gpmu(PackageController):
 
     def _entry_flow(self):
         timings = self.timings
-        self.residency.enter(PackageCState.PC2.value)
+        self.residency.enter(_PC2)
         yield Delay(timings.pc2_drain_ns)
         # A wake (or a core popping back to CC0) this early aborts
         # cheaply from PC2 — nothing has been powered down yet.
@@ -143,7 +150,7 @@ class Gpmu(PackageController):
         yield from barrier.wait()
         yield Delay(timings.firmware_step_ns)
         self.pc6_entries += 1
-        self.residency.enter(PackageCState.PC6.value)
+        self.residency.enter(_PC6)
         self._flow_active = False
         if self._wake_pending:
             self._trigger_exit()
@@ -151,7 +158,7 @@ class Gpmu(PackageController):
     # -- exit ----------------------------------------------------------------
     def _exit_flow(self):
         timings = self.timings
-        self.residency.enter(PackageCState.TRANSITION.value)
+        self.residency.enter(_TRANSITION)
         yield Delay(timings.firmware_step_ns)
         # Stage: power the PLLs and raise the CLM voltage, concurrently.
         barrier = _Barrier()
@@ -177,13 +184,13 @@ class Gpmu(PackageController):
                 mc.exit_self_refresh(barrier.done)
         yield from barrier.wait()
         yield Delay(timings.firmware_step_ns)
-        self.residency.enter(PackageCState.PC2.value)
+        self.residency.enter(_PC2)
         yield Delay(timings.pc2_drain_ns)
         self.pc6_exits += 1
         self._finish_flow_to_pc0()
 
     def _finish_flow_to_pc0(self) -> None:
-        self.residency.enter(PackageCState.PC0.value)
+        self.residency.enter(_PC0)
         self._flow_active = False
         self._wake_pending = False
         self._release_wake_waiters()

@@ -158,7 +158,9 @@ class QuarantineExhausted(RuntimeError):
         )
 
 
-def _worker_main(conn, task, flush: int, progress_fd: int) -> None:
+def _worker_main(
+    conn, task, flush: int, progress_fd: int, inherited_fds: tuple[int, ...]
+) -> None:
     """Worker loop: receive ``[(key, payload, attempt), ...]``, run, report.
 
     Jobs arrive in batches (one pipe message may carry several
@@ -189,7 +191,19 @@ def _worker_main(conn, task, flush: int, progress_fd: int) -> None:
     finished (results buffered, lost with the corpse) from the cell
     that was actually executing: only the latter is charged a retry
     attempt.
+
+    ``inherited_fds`` (empty on spawn platforms) are the supervisor-side
+    descriptors a fork child inherits: the parent end of its own pipe,
+    the pipe ends of every older sibling and the progress read ends.
+    They are closed first, so the supervisor holds the only other end
+    of this worker's pipe: if it dies (even by SIGKILL), ``conn.recv()``
+    sees EOF and the worker exits instead of waiting forever.
     """
+    for fd in inherited_fds:
+        try:
+            os.close(fd)
+        except OSError:  # pragma: no cover - already closed
+            pass
     stop = False
     last_send = time.monotonic()
     while not stop:
@@ -356,12 +370,19 @@ class SweepSupervisor:
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
         progress_r = progress_w = -1
+        inherited: tuple[int, ...] = ()
         if self._use_progress:
             progress_r, progress_w = os.pipe()
             os.set_blocking(progress_r, False)
+            # A fork child inherits every supervisor-side descriptor;
+            # it closes these (see _worker_main) so that no process but
+            # the supervisor keeps any worker's pipe open.
+            inherited = (parent_conn.fileno(), progress_r)
+            for other in self._workers.values():
+                inherited += (other.conn.fileno(), other.progress_fd)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._task, self._flush, progress_w),
+            args=(child_conn, self._task, self._flush, progress_w, inherited),
             daemon=True,
         )
         proc.start()

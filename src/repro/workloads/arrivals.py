@@ -44,12 +44,13 @@ class PoissonArrivals(ArrivalProcess):
         if rate_per_s <= 0:
             raise ValueError(f"rate must be positive, got {rate_per_s}")
         self.rate_per_s = rate_per_s
+        self._mean_gap_ns = S / rate_per_s
 
     def mean_rate_per_s(self) -> float:
         return self.rate_per_s
 
     def next_gap_ns(self, rng: np.random.Generator) -> int:
-        return max(1, int(rng.exponential(S / self.rate_per_s)))
+        return max(1, int(rng.exponential(self._mean_gap_ns)))
 
 
 class GammaArrivals(ArrivalProcess):
@@ -67,13 +68,13 @@ class GammaArrivals(ArrivalProcess):
             raise ValueError(f"shape must be positive, got {shape}")
         self.rate_per_s = rate_per_s
         self.shape = shape
+        self._scale = S / (rate_per_s * shape)
 
     def mean_rate_per_s(self) -> float:
         return self.rate_per_s
 
     def next_gap_ns(self, rng: np.random.Generator) -> int:
-        scale = S / (self.rate_per_s * self.shape)
-        return max(1, int(rng.gamma(self.shape, scale)))
+        return max(1, int(rng.gamma(self.shape, self._scale)))
 
 
 class MMPPArrivals(ArrivalProcess):
@@ -102,6 +103,8 @@ class MMPPArrivals(ArrivalProcess):
             raise ValueError(f"dwell times must be positive: {dwells}")
         self.rates_per_s = rates
         self.dwell_ns = dwells
+        #: Per-phase mean inter-arrival gap (None for a quiet phase).
+        self._phase_scales = tuple(S / rate if rate > 0 else None for rate in rates)
         self._phase = 0
         # The first dwell is the exact mean (a deterministic anchor);
         # subsequent dwells are exponential around their phase mean.
@@ -122,8 +125,8 @@ class MMPPArrivals(ArrivalProcess):
     def next_gap_ns(self, rng: np.random.Generator) -> int:
         gap = 0.0
         while True:
-            rate = self.rates_per_s[self._phase]
-            candidate = rng.exponential(S / rate) if rate > 0 else float("inf")
+            scale = self._phase_scales[self._phase]
+            candidate = rng.exponential(scale) if scale is not None else float("inf")
             if candidate <= self._phase_left_ns:
                 self._phase_left_ns -= candidate
                 gap += candidate

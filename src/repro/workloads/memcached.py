@@ -41,6 +41,8 @@ class MemcachedWorkload(Workload):
     GET_FRACTION = 0.97
     KEY_BYTES = 31
     VALUE_MEDIAN_BYTES = 300
+    #: The value-size lognormal's ``mean`` parameter, taken once.
+    VALUE_LOG_MEDIAN = np.log(VALUE_MEDIAN_BYTES)
     VALUE_SIGMA = 1.0
     VALUE_CAP_BYTES = 100_000
 
@@ -62,6 +64,9 @@ class MemcachedWorkload(Workload):
             self.qps,
             self.ARRIVAL_SHAPE if arrival_shape is None else arrival_shape,
         )
+        #: Mean occupancy at this fixed offered rate (one ``math.exp``
+        #: per workload, not per request).
+        self._occupancy_mean_ns = self.OCCUPANCY.mean_ns(self.qps)
 
     @property
     def offered_qps(self) -> float:
@@ -81,10 +86,11 @@ class MemcachedWorkload(Workload):
             target.inject(self._make_request(rng))
 
     def _make_request(self, rng: np.random.Generator) -> Request:
-        service_ns = self.OCCUPANCY.sample_ns(rng, self.qps)
+        # OCCUPANCY.sample_ns(rng, qps) with the mean taken once.
+        service_ns = max(1, int(rng.exponential(self._occupancy_mean_ns)))
         value_bytes = min(
             self.VALUE_CAP_BYTES,
-            int(rng.lognormal(np.log(self.VALUE_MEDIAN_BYTES), self.VALUE_SIGMA)),
+            int(rng.lognormal(self.VALUE_LOG_MEDIAN, self.VALUE_SIGMA)),
         )
         if rng.random() < self.GET_FRACTION:
             kind, wire, response = "get", 64 + self.KEY_BYTES, 64 + value_bytes

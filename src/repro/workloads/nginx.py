@@ -48,6 +48,8 @@ class NginxWorkload(Workload):
     DYNAMIC_SIGMA = 0.7
     #: Response-size model: log-normal body sizes, capped at one asset.
     BODY_MEDIAN_BYTES = 4_096
+    #: The body-size lognormal's ``mean`` parameter, taken once.
+    BODY_LOG_MEDIAN = np.log(BODY_MEDIAN_BYTES)
     BODY_SIGMA = 1.2
     BODY_CAP_BYTES = 1_048_576
 
@@ -88,7 +90,7 @@ class NginxWorkload(Workload):
     def _make_request(self, rng: np.random.Generator) -> Request:
         body_bytes = min(
             self.BODY_CAP_BYTES,
-            int(rng.lognormal(np.log(self.BODY_MEDIAN_BYTES), self.BODY_SIGMA)),
+            int(rng.lognormal(self.BODY_LOG_MEDIAN, self.BODY_SIGMA)),
         )
         if rng.random() < self.STATIC_FRACTION:
             kind = "http-static"

@@ -76,12 +76,13 @@ class LognormalService(ServiceModel):
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.median_ns = float(median_ns)
         self.sigma = sigma
+        self._log_median = math.log(self.median_ns)
 
     def mean_ns(self, offered_qps: float) -> float:
         return self.median_ns * math.exp(self.sigma**2 / 2)
 
     def sample_ns(self, rng: np.random.Generator, offered_qps: float) -> int:
-        return max(1, int(rng.lognormal(math.log(self.median_ns), self.sigma)))
+        return max(1, int(rng.lognormal(self._log_median, self.sigma)))
 
 
 class LoadCalibratedService(ServiceModel):

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control import (
     ACTIVE,
@@ -25,7 +28,12 @@ from repro.control import (
     build_controller,
 )
 from repro.control.controllers import (
+    ACTIVE_IDLE_W,
+    P99_OVER_MEAN,
     PARK_PATIENCE_TICKS,
+    PARKED_W,
+    PREDICT_MARGIN,
+    RHO_CAP,
     SloPackController,
     SleepScaleController,
     controller_def,
@@ -202,7 +210,55 @@ class TestSloPackController:
         assert plane.applied_targets[-1] == 1  # never below one server
 
 
+def reference_search_grid(plane):
+    """SleepScale's grid scan cell by cell, every term recomputed."""
+    table = plane.pstate_table
+    rate = plane.arrivals.rate_per_ns
+    service_ns = plane.arrivals.mean_service_ns
+    cores = plane.cores_per_server
+    core = plane.core_spec
+    slo_budget = PREDICT_MARGIN * plane.slo_p99_ns - plane.overhead_ns
+    best, best_power = None, math.inf
+    for n_active in range(1, plane.n_servers + 1):
+        for state in table.states:
+            scale = table.service_scale(state)
+            rho = rate * service_ns * scale / (n_active * cores)
+            if rho >= RHO_CAP:
+                continue
+            mean_ns = service_ns * scale / (1.0 - rho)
+            if P99_OVER_MEAN * mean_ns > slo_budget:
+                continue
+            dyn_w = core.cc0_w * table.power_scale(state) - core.cc1_w
+            power = (
+                n_active * (ACTIVE_IDLE_W + cores * rho * dyn_w)
+                + (plane.n_servers - n_active) * PARKED_W
+            )
+            if power < best_power:
+                best_power = power
+                best = (n_active, state.name)
+    return best
+
+
 class TestSleepScaleController:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_servers=st.integers(1, 64),
+        rate_per_ns=st.floats(0.0, 0.05),
+        mean_service_ns=st.floats(100.0, 1e6),
+        slo_p99_ns=st.integers(10_000, 20_000_000),
+    )
+    def test_grid_search_matches_the_cell_by_cell_reference(
+        self, n_servers, rate_per_ns, mean_service_ns, slo_p99_ns
+    ):
+        plane = FakePlane(
+            n_servers=n_servers,
+            slo_p99_ns=slo_p99_ns,
+            rate_per_ns=rate_per_ns,
+            mean_service_ns=mean_service_ns,
+        )
+        choice = SleepScaleController()._search_grid(plane)
+        assert choice == reference_search_grid(plane)
+
     def test_idle_fleet_consolidates_to_one_slow_server(self):
         # 1k qps against a 4x10-core fleet: one server at the ladder
         # floor is feasible and cheapest (park 3, crawl on 1).

@@ -62,6 +62,30 @@ class TestSignal:
         assert bool(Signal("s", value=True))
         assert not bool(Signal("s"))
 
+    def test_non_bool_drives_store_and_report_bools(self):
+        # set() branches on truthiness: the stored level and the
+        # watchers' old/new stay real bools, and edges count exactly
+        # as bool() normalization would.
+        s = Signal("s")
+        seen = []
+        s.watch(lambda sig, old, new: seen.append((old, new)))
+        s.set(1)
+        assert s.value is True
+        s.set(0)
+        assert s.value is False
+        s.set(None)
+        assert s.value is False
+        s.set("high")
+        assert s.value is True
+        s.set(2)
+        assert s.value is True
+        s.set(0.0)
+        assert s.value is False
+        # Edges exactly where bool(drive) changed: 1, 0, "high", 0.0.
+        assert s.transitions == 4
+        assert seen == [(False, True), (True, False), (False, True), (True, False)]
+        assert all(type(old) is bool and type(new) is bool for old, new in seen)
+
     def test_watch_list_is_snapshot_per_edge(self):
         # Mid-notification watch/unwatch changes take effect from the
         # next edge on, never within the round that made them.

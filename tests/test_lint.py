@@ -35,10 +35,10 @@ def codes(findings, *, include_suppressed=False):
 
 
 class TestRegistry:
-    def test_all_seven_rules_registered(self):
+    def test_all_eight_rules_registered(self):
         assert sorted(RULES) == [
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007",
+            "RPR007", "RPR008",
         ]
 
     def test_rules_carry_docs(self):
@@ -498,6 +498,59 @@ class TestRpr007RawPStateTable:
         assert codes(findings, include_suppressed=True) == [
             "RPR007", "RPR007",
         ]
+
+
+class TestRpr008ClockAndWireWrites:
+    WRITES = (
+        "def poke(sim, wire):\n"
+        "    sim.now = 5\n"
+        "    wire.value = True\n"
+    )
+
+    @pytest.mark.parametrize("path", [SIM_PATH, TOOL_PATH, TEST_PATH])
+    def test_writes_flagged_in_every_domain(self, path):
+        assert codes(lint_source(self.WRITES, path)) == ["RPR008", "RPR008"]
+
+    def test_augmented_annotated_and_unpacking_writes_flagged(self):
+        src = (
+            "def poke(sim, machine, a, b):\n"
+            "    sim.now += 1\n"
+            "    machine.sim.now: int = 0\n"
+            "    a.value, (b.value, _) = True, (False, 0)\n"
+        )
+        assert codes(lint_source(src, SIM_PATH)) == ["RPR008"] * 4
+
+    def test_kernel_may_move_the_clock(self):
+        src = (
+            "class Simulator:\n"
+            "    def run(self, until_ns):\n"
+            "        self.now = until_ns\n"
+        )
+        assert codes(lint_source(src, "src/repro/sim/engine.py")) == []
+        assert codes(lint_source(src, SIM_PATH)) == ["RPR008"]
+
+    def test_own_value_and_reads_allowed(self):
+        src = (
+            "class Signal:\n"
+            "    def set(self, value):\n"
+            "        self.value = True if value else False\n"
+            "\n"
+            "def read(sim, wire):\n"
+            "    level = wire.value\n"
+            "    now = sim.now\n"
+            "    return level, now\n"
+        )
+        assert codes(lint_source(src, SIM_PATH)) == []
+
+    def test_nested_self_attribute_flagged(self):
+        src = "def f(self):\n    self.clm.ret.value = True\n"
+        assert codes(lint_source(src, SIM_PATH)) == ["RPR008"]
+
+    def test_suppression_marker_downgrades(self):
+        src = "def f(wire):\n    wire.value = True  # repro-lint: ignore[RPR008]\n"
+        findings = lint_source(src, TEST_PATH)
+        assert codes(findings) == []
+        assert codes(findings, include_suppressed=True) == ["RPR008"]
 
 
 class TestRepoIsClean:

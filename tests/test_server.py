@@ -206,6 +206,16 @@ class TestMachineAssembly:
         assert machine.latency.count == 1
         assert machine.nic.responses_sent == 1
 
+    def test_completion_without_arrival_time_raises(self, shallow_machine):
+        # Dispatched straight to a core, past the NIC that stamps the
+        # arrival: the completion has no latency to record.
+        machine = shallow_machine
+        machine.sim.run(until_ns=10 * US)
+        machine._dispatch(Request("get", service_ns=5 * US))
+        with pytest.raises(ValueError, match="has not completed"):
+            machine.sim.run(until_ns=machine.sim.now + 1 * MS)
+        assert machine.latency.count == 0
+
     def test_request_charges_dram_traffic(self, shallow_machine):
         machine = shallow_machine
         machine.sim.run(until_ns=10 * US)

@@ -1,9 +1,26 @@
 """Tests for the SKX floorplan and its routing metrics."""
 
-import networkx as nx
+import os
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
+
 import pytest
 
 from repro.soc.floorplan import SkxFloorplan
+
+
+def reachable(plan: SkxFloorplan, start: str) -> set[str]:
+    """Every tile a breadth-first walk of the mesh reaches from ``start``."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for other in plan.adjacency[queue.popleft()]:
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+    return seen
 
 
 class TestConstruction:
@@ -26,7 +43,7 @@ class TestConstruction:
 
     def test_graph_is_connected(self):
         plan = SkxFloorplan()
-        assert nx.is_connected(plan.graph)
+        assert reachable(plan, "core0") == set(plan.tiles)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -35,7 +52,7 @@ class TestConstruction:
     def test_custom_core_count(self):
         plan = SkxFloorplan(n_cores=28, mesh_cols=6)
         assert len(plan.core_names()) == 28
-        assert nx.is_connected(plan.graph)
+        assert reachable(plan, "core0") == set(plan.tiles)
 
 
 class TestRoutingMetrics:
@@ -50,6 +67,28 @@ class TestRoutingMetrics:
             assert plan.routed_hops(tile, "apmu") >= plan.manhattan_hops(
                 tile, "apmu"
             ) - 1  # co-located tiles share a slot
+
+    @pytest.mark.parametrize(
+        "plan_args,src,dst,hops",
+        [
+            ((), "core0", "apmu", 2),
+            ((), "core9", "apmu", 3),
+            ((), "mc0", "mc1", 3),
+            ((), "core5", "upi1", 4),
+            ((), "gpmu", "apmu", 1),
+            ((), "mc1", "pcie0", 5),
+            ((), "core0", "core0", 0),
+            ((28, 6), "core27", "apmu", 7),
+            ((28, 6), "mc0", "mc1", 5),
+        ],
+    )
+    def test_routed_hops_pinned(self, plan_args, src, dst, hops):
+        # Values recorded from the networkx shortest-path version.
+        assert SkxFloorplan(*plan_args).routed_hops(src, dst) == hops
+
+    def test_routed_hops_rejects_unknown_tile(self):
+        with pytest.raises(KeyError):
+            SkxFloorplan().routed_hops("core0", "core99")
 
     def test_aggregation_saves_wirelength(self):
         # Sec. 5.3: AND-combining neighbouring cores' InCC1 wires
@@ -73,3 +112,16 @@ class TestRoutingMetrics:
 
         with pytest.raises(ValueError):
             plan._add_tile(Tile("core0", "core", 5, 5))
+
+
+def test_importing_the_api_leaves_networkx_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, repro.api; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.stdout.strip() == "False"

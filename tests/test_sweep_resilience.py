@@ -554,6 +554,34 @@ def wait_for_journal(path: Path, lines: int, timeout_s: float = 120.0):
     raise AssertionError(f"journal never reached {lines} lines")
 
 
+def child_pids(pid: int) -> list[int]:
+    """The child processes of ``pid``, read from Linux procfs."""
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    if not path.exists():
+        pytest.skip("reading child processes needs Linux procfs")
+    return [int(token) for token in path.read_text().split()]
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    # The state follows the parenthesized command name; a child that
+    # exited but was not yet reaped by its new parent reads "Z".
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def still_running_after(pids: list[int], timeout_s: float) -> list[int]:
+    """The ``pids`` still running once ``timeout_s`` has passed."""
+    deadline = time.monotonic() + timeout_s
+    alive = [pid for pid in pids if _running(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in alive if _running(pid)]
+    return alive
+
+
 @pytest.mark.slow
 class TestCliRecovery:
     def test_parent_sigkill_then_resume_is_byte_identical(self, tmp_path):
@@ -566,9 +594,17 @@ class TestCliRecovery:
         try:
             # Header + 2 completed cells ~= half the 8-cell grid.
             wait_for_journal(journal, 3)
+            workers = child_pids(proc.pid)
         finally:
             proc.kill()
             proc.wait(timeout=60)
+        # The pool's workers must see EOF on their job pipes once the
+        # supervisor is gone, and exit rather than linger as orphans.
+        assert workers
+        survivors = still_running_after(workers, timeout_s=10.0)
+        for pid in survivors:  # do not leak them when the check fails
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"workers outlived the killed sweep: {survivors}"
         killed_at = len(journal.read_text().splitlines()) - 1
         resume = run_cli(
             GRID + [
