@@ -51,11 +51,18 @@ class LatencyWindow:
         self.recorded += 1
 
     def p99(self) -> int | None:
-        """Exact p99 (nearest-rank) of the window; None while empty."""
+        """The window's p99 (rank rule of :meth:`percentile`); None while empty."""
         return self.percentile(99.0)
 
     def percentile(self, pct: float) -> int | None:
-        """Exact nearest-rank percentile of the window's contents."""
+        """The window's ``pct`` percentile: a recorded sample, not interpolated.
+
+        Returns the sorted window's sample at 0-based index
+        ``int(fill * pct / 100)``, clamped to the window. That is one
+        rank above nearest-rank whenever ``fill * pct / 100`` is whole:
+        over 1..100, p99 is 100 and p50 is 51 (nearest-rank gives 99
+        and 50). The SLO check reads this value, so the rule stays.
+        """
         if self.fill == 0:
             return None
         ordered = sorted(self.ring[: self.fill])

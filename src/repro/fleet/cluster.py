@@ -44,8 +44,8 @@ from repro.fleet.routing import ROUTING_POLICIES, LoadBalancer
 from repro.fleet.state import FleetState
 from repro.hw.signals import Signal
 from repro.power.meter import PowerMeter
-from repro.props import apply_props, render_overrides
-from repro.server.configs import MachineConfig, config_by_name
+from repro.props import render_overrides, resolve_config
+from repro.server.configs import MachineConfig
 from repro.server.machine import ServerMachine
 from repro.server.recycle import MachineCheckpoint
 from repro.server.stats import MachineStats
@@ -112,7 +112,7 @@ class ClusterConfig:
     control_props: PropPairs = ()
 
     def __post_init__(self) -> None:
-        config_by_name(self.machine)  # friendly unknown-config error
+        resolve_config(self.machine)  # friendly unknown-config error
         object.__setattr__(self, "props", normalize_props(self.props))
         object.__setattr__(
             self,
@@ -173,8 +173,12 @@ class ClusterConfig:
         return merge_props(self.props, self.server_props[index])
 
     def build_machine_config(self, index: int = 0) -> MachineConfig:
-        """Instantiate the machine configuration of server ``index``."""
-        return apply_props(self.machine, dict(self.props_for_server(index)))
+        """The machine configuration of server ``index``.
+
+        Servers with the same merged overrides share one frozen config
+        (:func:`repro.props.resolve_config`).
+        """
+        return resolve_config(self.machine, self.props_for_server(index)).config
 
     def is_heterogeneous(self) -> bool:
         """Whether servers differ in their resolved configuration."""
@@ -237,17 +241,12 @@ class FleetMachine:
         self.cluster = cluster
         self.sim = Simulator(seed, sanitize=sanitize)
         self.meter = PowerMeter(self.sim)
-        # Per-server configs: one shared object for homogeneous fleets
-        # (configs are frozen plain data — building N identical copies
-        # would dominate large-fleet construction), per-index property
-        # hybrids for heterogeneous ones.
-        if cluster.server_props:
-            configs = [
-                cluster.build_machine_config(index)
-                for index in range(cluster.n_servers)
-            ]
-        else:
-            configs = [cluster.build_machine_config(0)] * cluster.n_servers
+        # Per-server configs: servers with the same overrides share one
+        # frozen config object (a homogeneous fleet shares one).
+        configs = [
+            cluster.build_machine_config(index)
+            for index in range(cluster.n_servers)
+        ]
         self.machines = [
             ServerMachine(
                 config,

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 from repro.fleet.cluster import ClusterConfig, FleetMachine
 from repro.fleet.result import FleetResult
+from repro.props import resolve_config
 from repro.sweep.spec import (
     PropPairs,
     WorkloadPoint,
@@ -203,10 +204,10 @@ class FleetCell:
             # Homogeneous: one set + the count, so neither key size
             # nor key *cost* scales with fleet size.
             servers: object = {
-                "all": cluster.build_machine_config(0).props().as_dict()
+                "all": resolve_config(self.machine, self.props).props.as_dict()
             }
         else:
-            # Resolve each distinct per-server override set once; the
+            # Render each distinct per-server override set once; the
             # per-server list still collapses when everything matches
             # (a 1-entry server_props spelling of a homogeneous fleet
             # cannot fork the key).
@@ -217,7 +218,7 @@ class FleetCell:
                 resolved = sets_by_pairs.get(pairs)
                 if resolved is None:
                     resolved = sets_by_pairs[pairs] = (
-                        cluster.build_machine_config(index).props().as_dict()
+                        resolve_config(self.machine, pairs).props.as_dict()
                     )
                 server_sets.append(resolved)
             if all(s == server_sets[0] for s in server_sets[1:]):

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar
+from types import MappingProxyType
+from typing import ClassVar, Mapping
 
 #: State label -> spec field holding its power, per spec class.
 _CORE_FIELDS = {"CC0": "cc0_w", "CC1": "cc1_w", "CC1E": "cc1e_w", "CC6": "cc6_w"}
@@ -45,7 +46,8 @@ class _WattsTable:
     The per-transition paths of the component models index ``watts``
     instead of calling ``for_state``. The table is built in
     ``__post_init__``, before any machine checkpoint captures the spec,
-    and never changes afterwards.
+    and is read-only: with every field immutable, the recycle walker
+    keeps the whole spec as a leaf instead of walking and refilling it.
     """
 
     #: State label -> the spec field holding its power.
@@ -55,9 +57,11 @@ class _WattsTable:
         self.watts  # build the table now, before any checkpoint captures it
 
     @cached_property
-    def watts(self) -> dict[str, float]:
-        """State label -> watts."""
-        return {label: getattr(self, name) for label, name in self._FIELDS.items()}
+    def watts(self) -> Mapping[str, float]:
+        """State label -> watts (read-only)."""
+        return MappingProxyType(
+            {label: getattr(self, name) for label, name in self._FIELDS.items()}
+        )
 
 
 @dataclass(frozen=True)

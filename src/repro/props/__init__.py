@@ -18,8 +18,10 @@ bespoke dataclass field:
   (C-state enables, governor, package policy, tick rate, SoC core
   count/frequency, network latency, fleet routing knobs);
 - :mod:`repro.props.pset` — :class:`PropertySet` (frozen mapping,
-  canonical ordering, content hash), named presets, and
-  :func:`apply_props` for hybrid configurations.
+  canonical ordering, content hash), named presets,
+  :func:`apply_props` for hybrid configurations, and
+  :func:`resolve_config`, the shared (preset, overrides) resolution
+  sweep and fleet cells key and build from.
 
 ``repro props list`` renders the registry; ``--set name=value`` on
 ``sweep``/``fleet``/``export`` grids over it. See
@@ -29,6 +31,7 @@ bespoke dataclass field:
 from repro.props import builtin as _builtin  # registers the built-ins
 from repro.props.pset import (
     PropertySet,
+    ResolvedConfig,
     apply_props,
     derived_config_name,
     preset_name_for,
@@ -36,6 +39,7 @@ from repro.props.pset import (
     preset_props,
     render_overrides,
     render_value,
+    resolve_config,
 )
 from repro.props.registry import (
     PROPS,
@@ -58,6 +62,7 @@ __all__ = [
     "PropDef",
     "PropertyError",
     "PropertySet",
+    "ResolvedConfig",
     "all_props",
     "apply_props",
     "derived_config_name",
@@ -70,5 +75,6 @@ __all__ = [
     "register_prop",
     "render_overrides",
     "render_value",
+    "resolve_config",
     "suggest_names",
 ]

@@ -25,13 +25,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterator, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.props.registry import (
     PropertyError,
     get_prop,
     machine_props,
+    registry_generation,
 )
+
+if TYPE_CHECKING:
+    from repro.server.configs import MachineConfig
 
 
 class PropertySet(Mapping[str, Any]):
@@ -66,8 +71,7 @@ class PropertySet(Mapping[str, Any]):
 
     def __reduce__(self) -> tuple:
         # Slots + the immutability guard break pickle's default
-        # protocol; reconstruct through __init__ instead (sweep cells
-        # cross process boundaries with their resolved set cached).
+        # protocol; reconstruct through __init__ instead.
         return (PropertySet, (dict(self._items),))
 
     # -- Mapping protocol --------------------------------------------------
@@ -178,22 +182,103 @@ class PropertySet(Mapping[str, Any]):
 
 # -- presets -----------------------------------------------------------------
 
-_PRESETS: dict[str, PropertySet] | None = None
+
+@dataclass(frozen=True)
+class ResolvedConfig:
+    """A preset plus override pairs, resolved: the full property set
+    and the :class:`~repro.server.configs.MachineConfig` built from it.
+
+    One object serves every cell of its (preset, overrides) pair, so
+    neither is rebuilt or re-validated per cell.
+    """
+
+    props: PropertySet
+    config: MachineConfig
+
+
+#: Hybrid resolutions kept per preset table (oldest evicted first).
+_HYBRIDS_MAX = 512
+
+
+class _PresetTable:
+    """The named presets of one registry generation, with the hybrids
+    resolved over them.
+
+    Rebuilt whenever the registry gains a property, so no resolution
+    outlives the registry it was computed from.
+    """
+
+    def __init__(self, generation: int):
+        from repro.server.configs import CONFIG_BUILDERS
+
+        self.generation = generation
+        self.presets: dict[str, ResolvedConfig] = {}
+        for name, builder in CONFIG_BUILDERS.items():
+            config = builder()
+            self.presets[name] = ResolvedConfig(
+                PropertySet.from_config(config), config
+            )
+        self.props = {
+            name: preset.props for name, preset in self.presets.items()
+        }
+        #: (preset name, canonical override pairs) -> resolution.
+        self.hybrids: dict[tuple[str, tuple], ResolvedConfig] = {}
+
+
+_TABLE: _PresetTable | None = None
+
+
+def _table() -> _PresetTable:
+    """The current preset table (built lazily: the config builders
+    live in server.configs, which imports this package for
+    validation)."""
+    global _TABLE
+    generation = registry_generation()
+    if _TABLE is None or _TABLE.generation != generation:
+        _TABLE = _PresetTable(generation)
+    return _TABLE
 
 
 def _presets() -> dict[str, PropertySet]:
-    """name -> PropertySet for the named configs (built lazily: the
-    config builders live in server.configs, which imports this
-    package for validation)."""
-    global _PRESETS
-    if _PRESETS is None:
-        from repro.server.configs import CONFIG_BUILDERS
+    """name -> PropertySet for the named configs."""
+    return _table().props
 
-        _PRESETS = {
-            name: PropertySet.from_config(builder())
-            for name, builder in CONFIG_BUILDERS.items()
-        }
-    return _PRESETS
+
+def resolve_config(
+    name: str, overrides: tuple[tuple[str, Any], ...] = ()
+) -> ResolvedConfig:
+    """The shared resolution of preset ``name`` plus ``overrides``.
+
+    ``overrides`` are canonical pairs (sorted by name, values parsed),
+    as :func:`repro.sweep.spec.normalize_props` produces them. Without
+    overrides this is the preset's own resolution; a hybrid resolves
+    once per preset table and is shared after that. The result equals
+    ``apply_props(name, dict(overrides))`` and its property set. An
+    unknown ``name`` raises
+    :class:`~repro.server.configs.UnknownConfigError`; a hybrid that
+    breaks a cross-field constraint raises ``ValueError``.
+    """
+    table = _table()
+    try:
+        preset = table.presets[name]
+    except KeyError:
+        from repro.server.configs import config_by_name
+
+        config_by_name(name)  # raises the did-you-mean error
+        raise
+    if not overrides:
+        return preset
+    key = (name, overrides)
+    resolved = table.hybrids.get(key)
+    if resolved is None:
+        props = preset.props.with_overrides(dict(overrides))
+        config = props.to_config(
+            derived_config_name(name, props), soc=preset.config.soc
+        )
+        if len(table.hybrids) >= _HYBRIDS_MAX:
+            del table.hybrids[next(iter(table.hybrids))]
+        resolved = table.hybrids[key] = ResolvedConfig(props, config)
+    return resolved
 
 
 def preset_names() -> tuple[str, ...]:

@@ -196,6 +196,16 @@ class PropDef:
 #: name -> PropDef, in registration order (rendering re-sorts).
 PROPS: dict[str, PropDef] = {}
 
+#: Registrations so far. Anything derived from the registry (the
+#: preset table of :mod:`repro.props.pset`) records the generation it
+#: was built at and rebuilds once a later registration changes it.
+_generation = 0
+
+
+def registry_generation() -> int:
+    """The registry's generation: it grows with every registration."""
+    return _generation
+
 
 def register_prop(
     name: str,
@@ -224,6 +234,7 @@ def register_prop(
         )
 
     def _finish(get, set_):
+        global _generation
         prop = PropDef(
             name=name, ptype=ptype, scope=scope, default=default, doc=doc,
             choices=choices, minval=minval, maxval=maxval, unit=unit,
@@ -231,6 +242,7 @@ def register_prop(
         )
         prop.validate(default)
         PROPS[name] = prop
+        _generation += 1
         return prop
 
     if field is not None:

@@ -127,6 +127,8 @@ def collect_result(
     dram = power.get(machine.dram_domain)
     package_energy_j = package.energy_j if package is not None else 0.0
     dram_energy_j = dram.energy_j if dram is not None else 0.0
+    # One pass over the cores' residency; utilization is its CC0 share.
+    core_residency = machine.core_residency()
     return ExperimentResult(
         config_name=machine.config.name,
         workload_name=workload.name,
@@ -137,9 +139,9 @@ def collect_result(
         achieved_qps=machine.requests_completed / duration_s,
         package_power_w=package_energy_j / duration_s,
         dram_power_w=dram_energy_j / duration_s,
-        core_residency=machine.core_residency(),
+        core_residency=core_residency,
         package_residency=machine.package.residency.fractions(),
-        utilization=machine.utilization(),
+        utilization=core_residency.get("CC0", 0.0),
         all_idle_fraction=machine.idle_tracker.idle_fraction(),
         socwatch=machine.socwatch.opportunity(),
         idle_histogram=machine.socwatch.duration_histogram(),

@@ -250,7 +250,9 @@ class ServerMachine:
                 "recycle() needs a checkpoint; call checkpoint() on the "
                 "freshly built machine first"
             )
-        if config != self.config:
+        # Cells of one (config, props) pair share one config object
+        # (repro.props.resolve_config), so identity settles most checks.
+        if config is not self.config and config != self.config:
             raise ValueError(
                 f"machine was built for config {self.config.name!r}; "
                 f"it cannot be recycled into {config.name!r}"

@@ -36,7 +36,10 @@ mechanisms guarantee it:
 The capture pass compiles all of this into a flat plan (dict
 snapshots, slot lists, container refill ops), so a restore is a short
 loop of C-level operations — several times cheaper than rebuilding
-the machine.
+the machine. Frozen dataclasses whose every attribute is immutable
+(power specs with read-only ``watts`` tables, timing tables, P- and
+C-states, machine configs) are captured by reference, like scalars:
+they add nothing to the plan.
 
 The walker is deliberately *loud*: a state value it cannot faithfully
 snapshot (a live :class:`~repro.sim.engine.Event` reference, an
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -76,6 +80,51 @@ class CheckpointError(RuntimeError):
 def _is_repro_object(value: Any) -> bool:
     module = type(value).__module__ or ""
     return module == "repro" or module.startswith("repro.")
+
+
+def _is_immutable(value: Any, active: set[int]) -> bool:
+    """Whether ``value`` can never change, so a reference captures it.
+
+    Immutable means a scalar or enum member, a tuple or frozenset of
+    immutables, a read-only mapping (``MappingProxyType``) of
+    immutables, or a frozen leaf (:func:`_is_frozen_leaf`).
+    """
+    if isinstance(value, (_SCALARS, Enum)):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return all(_is_immutable(item, active) for item in value)
+    if isinstance(value, MappingProxyType):
+        return all(
+            _is_immutable(key, active) and _is_immutable(item, active)
+            for key, item in value.items()
+        )
+    return _is_frozen_leaf(value, active)
+
+
+def _is_frozen_dataclass(cls: type) -> bool:
+    params = getattr(cls, "__dataclass_params__", None)
+    return params is not None and bool(params.frozen)
+
+
+def _is_frozen_leaf(value: Any, active: set[int]) -> bool:
+    """Whether ``value`` is a frozen dataclass of immutable attributes.
+
+    ``active`` holds the frozen objects being checked further up, so a
+    reference cycle counts as mutable (and is walked).
+    """
+    if id(value) in active or not _is_frozen_dataclass(type(value)):
+        return False
+    active.add(id(value))
+    values = list(getattr(value, "__dict__", {}).values())
+    for name in _slot_names(type(value)):
+        try:
+            values.append(getattr(value, name))
+        except AttributeError:
+            continue
+    try:
+        return all(_is_immutable(item, active) for item in values)
+    finally:
+        active.discard(id(value))
 
 
 def _slot_names(cls: type) -> list[str]:
@@ -132,8 +181,20 @@ class MachineCheckpoint:
     def _capture_graph(self, root: Any) -> None:
         pending = [root]
         seen = {id(root)}
+        # type -> whether it is a frozen dataclass (the one kind of
+        # object that can be a leaf), looked up once per class.
+        frozen_types: dict[type, bool] = {}
         while pending:
             obj = pending.pop()
+            cls = type(obj)
+            frozen = frozen_types.get(cls)
+            if frozen is None:
+                frozen = frozen_types[cls] = _is_frozen_dataclass(cls)
+            if frozen and _is_frozen_leaf(obj, set()):
+                # A frozen dataclass of immutables (a power spec, a
+                # timing table, a machine config): nothing in it can
+                # change, so the references to it capture it.
+                continue
             to_walk: list[Any] = []
             instance_dict = getattr(obj, "__dict__", None)
             if instance_dict is not None:
@@ -222,10 +283,11 @@ class MachineCheckpoint:
             # Repro component state is walked — before the callable
             # check, so a component that happens to define __call__ is
             # still captured rather than silently skipped. Frozen
-            # dataclasses are walked too: frozen only blocks attribute
-            # rebinding, so a mutable field value (or an exotic type)
-            # must still be captured — or loudly refused — like any
-            # other state.
+            # dataclasses are walked too unless every attribute is
+            # immutable (the walk skips those leaves): frozen only
+            # blocks attribute rebinding, so a mutable field value (or
+            # an exotic type) must still be captured — or loudly
+            # refused — like any other state.
             to_walk.append(value)
             return
         if isinstance(value, (Simulator, Enum)) or callable(value):

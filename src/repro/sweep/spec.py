@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.props import PropertySet, apply_props, get_prop, render_overrides
+from repro.props import PropertySet, get_prop, render_overrides, resolve_config
 from repro.scenarios import registry as scenarios
-from repro.server.configs import MachineConfig, config_by_name
+from repro.server.configs import MachineConfig
 from repro.units import MS
 from repro.workloads.base import Workload
 
@@ -121,7 +121,7 @@ def merge_props(base: PropPairs, extra: PropPairs) -> PropPairs:
 
 def resolved_machine_props(config: str, props: PropPairs) -> PropertySet:
     """The full property set of ``config`` + overrides (key material)."""
-    return config_by_name(config).props().with_overrides(dict(props))
+    return resolve_config(config, props).props
 
 
 def config_axis_label(config: str, props: PropPairs) -> str:
@@ -333,13 +333,13 @@ class ExperimentSpec:
     props: PropPairs = ()
 
     def __post_init__(self) -> None:
-        config_by_name(self.config)  # friendly unknown-config error
+        resolve_config(self.config)  # friendly unknown-config error
         object.__setattr__(self, "props", normalize_props(self.props))
         if self.props:
             # Cross-field constraints (e.g. CPC1A forbids CC6) only
             # surface when the hybrid config is built — fail at
             # construction, not inside a worker pool.
-            self.build_config()
+            resolve_config(self.config, self.props)
         workload, scenario = _normalize_scenario(self.workload, self.scenario)
         object.__setattr__(self, "workload", workload)
         object.__setattr__(self, "scenario", scenario)
@@ -357,21 +357,24 @@ class ExperimentSpec:
         return scenarios.build(self.scenario, self.qps, self.preset)
 
     def build_config(self) -> MachineConfig:
-        """Instantiate the cell's machine configuration.
+        """The cell's machine configuration.
 
         The result of applying the cell's property overrides to its
         named base config; the returned config's name is canonical
         (a resolved set matching a preset takes the preset's name).
+        Every cell of one (config, props) pair shares the object
+        (:func:`repro.props.resolve_config`); it is frozen.
         """
-        return apply_props(self.config, dict(self.props))
+        return resolve_config(self.config, self.props).config
 
     def resolved_props(self) -> PropertySet:
-        """The cell's full platform property set (cached; frozen cell)."""
-        cached = getattr(self, "_resolved_props", None)
-        if cached is None:
-            cached = resolved_machine_props(self.config, self.props)
-            object.__setattr__(self, "_resolved_props", cached)
-        return cached
+        """The cell's full platform property set.
+
+        Shared like :meth:`build_config`'s config, and never stored on
+        the cell: a pickled cell carries its plain fields and its
+        cached key, not a property set.
+        """
+        return resolve_config(self.config, self.props).props
 
     # -- cell protocol (repro.api) -----------------------------------------
     def build(self) -> "ServerMachine":
@@ -407,8 +410,12 @@ class ExperimentSpec:
 
     # -- identity ----------------------------------------------------------
     def as_dict(self) -> dict[str, Any]:
-        """Plain-data form (JSON- and pickle-friendly)."""
-        return asdict(self)
+        """Plain-data form (JSON- and pickle-friendly).
+
+        Equal to ``dataclasses.asdict(self)``: every field is a scalar
+        or a tuple of scalar pairs, so no copy is needed.
+        """
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentSpec":
@@ -502,7 +509,7 @@ class SweepSpec:
             self, "props", tuple(normalize_props(p) for p in self.props)
         )
         for name in self.configs:
-            config_by_name(name)  # friendly unknown-config error
+            resolve_config(name)  # friendly unknown-config error
         # Repeats would double-weight cells in the per-seed means and
         # understate the confidence intervals.
         for label, values in (

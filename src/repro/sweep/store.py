@@ -3,8 +3,9 @@
 A :class:`ResultStore` keys :class:`ExperimentResult` records by their
 cell's content hash (:meth:`ExperimentSpec.key`), so re-running an
 unchanged sweep cell is a cache hit instead of a simulation. Records
-are single JSON files — human-inspectable, diff-able, and safe to
-commit next to the figures they produced. A :class:`MemoryStore`
+are single JSON files — self-describing and safe to commit next to the
+figures they produced — each one line of compact canonical JSON
+(``python -m json.tool`` pretty-prints one). A :class:`MemoryStore`
 offers the same interface without touching disk (used to share
 measurements between benches inside one pytest session).
 
@@ -23,9 +24,9 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.sweep import chaos
 
@@ -39,15 +40,44 @@ class StoreCorruption(ValueError):
     """A store record exists on disk but cannot be trusted."""
 
 
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in fields(cls))
+
+
+#: The fields of an ExperimentResult, and of the dataclasses it nests.
+_RESULT_FIELDS = _field_names(ExperimentResult)
+_NESTED_FIELDS = {
+    "latency": _field_names(LatencySummary),
+    "socwatch": _field_names(OpportunityEstimate),
+    "kernel": _field_names(MachineStats),
+}
+
+
 def result_to_dict(result: ExperimentResult) -> dict:
-    """Plain-data form of a result (exact float round-trip via JSON)."""
-    return asdict(result)
+    """Plain-data form of a result (exact float round-trip via JSON).
+
+    Equal to ``dataclasses.asdict(result)`` without its deep copy: the
+    nested dataclasses (latency, SoCWatch estimate, kernel counters)
+    become fresh dicts, while the residency and histogram dicts are the
+    result's own. Treat the returned containers as read-only.
+    """
+    payload = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    for name, nested in _NESTED_FIELDS.items():
+        value = payload[name]
+        if value is not None:
+            payload[name] = {field: getattr(value, field) for field in nested}
+    return payload
+
+
+#: The canonical compact JSON of a payload: what its checksum covers.
+#: Same text as ``json.dumps(payload, sort_keys=True, separators=(",",
+#: ":"))``, without building an encoder per call.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _checksum(payload: dict) -> str:
     """sha256 over the canonical JSON form of a result payload."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
 def _encode_result(result) -> tuple[str, dict]:
@@ -293,14 +323,17 @@ class ResultStore:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def _read_record(self, path: Path) -> dict:
-        """Parse and integrity-check one record file.
+    def _read_record(self, path: Path) -> tuple[dict, Any]:
+        """Parse, integrity-check and decode one record file.
 
-        Raises ``OSError`` (typically ``FileNotFoundError``) when the
-        file cannot be read at all, and :class:`StoreCorruption` when
-        it reads but is truncated, garbled, fails its checksum, or
-        does not decode into a known result type. Records predating
-        the checksum field (no ``sha256``) are accepted as-is.
+        Returns the record and its decoded result. Raises ``OSError``
+        (typically ``FileNotFoundError``) when the file cannot be read
+        at all, and :class:`StoreCorruption` when it reads but is
+        truncated, garbled, fails its checksum, or does not decode into
+        a known result type. Records predating the checksum field (no
+        ``sha256``) are accepted as-is. Both record layouts read: the
+        compact one :meth:`put` writes and the older indented one; the
+        checksum covers the canonical form of the payload either way.
         """
         try:
             record = json.loads(path.read_text())
@@ -314,13 +347,13 @@ class ResultStore:
         if expected is not None and _checksum(record["result"]) != expected:
             raise StoreCorruption(f"record {path.name} fails its checksum")
         try:
-            _decode_result(record.get("kind"), record["result"])
+            result = _decode_result(record.get("kind"), record["result"])
         except (ValueError, KeyError, TypeError) as error:
             raise StoreCorruption(
                 f"record {path.name} does not decode: "
                 f"{type(error).__name__}: {error}"
             ) from None
-        return record
+        return record, result
 
     def _quarantine(self, path: Path) -> Path | None:
         """Move a corrupt record into ``quarantine/`` (never raises)."""
@@ -350,7 +383,7 @@ class ResultStore:
         """
         path = self._path(key)
         try:
-            record = self._read_record(path)
+            _record, result = self._read_record(path)
         except OSError:
             self.misses += 1
             return None
@@ -359,7 +392,7 @@ class ResultStore:
             self.misses += 1
             return None
         self.hits += 1
-        return _decode_result(record.get("kind"), record["result"])
+        return result
 
     def put(self, key: str, result: ExperimentResult,
             spec: ExperimentSpec | None = None) -> None:
@@ -374,24 +407,27 @@ class ResultStore:
         never interleave, and a failed write cleans its temp file up.
         """
         kind, payload = _encode_result(result)
-        record = {
-            "key": key,
-            "kind": kind,
-            "sha256": _checksum(payload),
-            "spec": spec.as_dict() if spec is not None else None,
-            "result": payload,
-        }
+        # The payload is encoded once, in the canonical form its
+        # checksum covers, and spliced into the compact record: the
+        # text equals json.dumps(record, sort_keys=True,
+        # separators=(",", ":")).
+        blob = _canonical(payload)
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        spec_blob = _canonical(spec.as_dict() if spec is not None else None)
+        text = (
+            f'{{"key":{json.dumps(key)},"kind":{json.dumps(kind)},'
+            f'"result":{blob},"sha256":"{digest}","spec":{spec_blob}}}'
+        )
         path = self._path(key)
         if chaos.torn_write(key):
             # Injected fault: the on-disk state a crash mid-write would
             # leave — a truncated record at the *final* path, which the
             # checksum-verified read must quarantine, not trust.
-            blob = json.dumps(record, indent=1, sort_keys=True)
-            path.write_text(blob[: max(1, len(blob) // 2)])
+            path.write_text(text[: max(1, len(text) // 2)])
             return
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(record, indent=1, sort_keys=True))
+            tmp.write_text(text)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -411,7 +447,7 @@ class ResultStore:
         for path in sorted(self.root.glob("*.json")):
             report["checked"] += 1
             try:
-                record = self._read_record(path)
+                record, _result = self._read_record(path)
             except OSError as error:  # pragma: no cover - racing delete
                 report["corrupt"].append(
                     {"file": path.name, "error": f"unreadable: {error}"}

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import pickle
+import shutil
+from pathlib import Path
+
 import pytest
 
+from repro.api import FleetCell
 from repro.cli import main as cli_main
+from repro.props import PropertySet, preset_props
 from repro.server.stats import EMPTY_SUMMARY
 from repro.server.experiment import ExperimentResult
 from repro.sweep import (
@@ -27,6 +35,8 @@ from repro.sweep import (
 )
 from repro.tracing.socwatch import OpportunityEstimate
 from repro.units import MS
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def tiny_cell(qps: float = 0.0, config: str = "CPC1A", seed: int = 1) -> ExperimentSpec:
@@ -150,6 +160,168 @@ class TestCellIdentity:
         assert cell().key() != cell(warmup_ns=2 * MS).key()
         # int and float spellings of one rate share a key.
         assert cell(qps=40_000).key() == cell(qps=40_000.0).key()
+
+
+def pinned_cells() -> dict:
+    """One cell of each key shape, with keys recorded before the shared
+    (config, props) resolution replaced per-cell resolution."""
+    return {
+        "preset": ExperimentSpec(
+            workload="memcached", qps=4000.0, preset="low", config="CPC1A",
+            seed=1, duration_ns=3 * MS, warmup_ns=1 * MS,
+        ),
+        "hybrid": ExperimentSpec(
+            workload="memcached", qps=4000.0, preset="low", config="Cshallow",
+            seed=1, duration_ns=3 * MS, warmup_ns=1 * MS,
+            props=(("cstates.cc1e.enable", "on"), ("timer_tick_hz", 250)),
+        ),
+        "trace": ExperimentSpec(
+            workload="replay", qps=0.0, preset="", config="Cdeep",
+            seed=2, duration_ns=3 * MS, warmup_ns=1 * MS,
+        ),
+        "fleet": FleetCell(
+            workload="memcached", qps=20000.0, preset="low", machine="CPC1A",
+            n_servers=4, routing="power-aware-pack", seed=1,
+            duration_ns=3 * MS, warmup_ns=1 * MS,
+            server_props=((), (), (("timer_tick_hz", 250),), ()),
+            control="sleepscale",
+            control_props=(("fleet.slo_p99_ns", 2_000_000),),
+        ),
+        "fleet_hybrid": FleetCell(
+            workload="idle", qps=0.0, preset="low", machine="Cshallow",
+            n_servers=2, routing="round-robin", seed=3,
+            duration_ns=2 * MS, warmup_ns=1 * MS,
+            props=(("cstates.cc1e.enable", "on"),),
+        ),
+    }
+
+
+PINNED_KEYS = {
+    "preset": "aa30f20cd88fd379d793cb9e",
+    "hybrid": "a56f7e7a314a266a03f8771b",
+    "trace": "0668bbf551982ff353581b05",
+    "fleet": "bd6361aa4daf9092d03f92d5",
+    "fleet_hybrid": "13bc83d1f7864d5b518bd73d",
+}
+
+
+class TestSharedResolution:
+    def test_keys_equal_the_pinned_values(self):
+        keys = {name: cell.key() for name, cell in pinned_cells().items()}
+        assert keys == PINNED_KEYS
+
+    def test_cells_of_one_pair_share_props_and_config(self):
+        spec = SweepSpec(
+            (WorkloadPoint("idle"), WorkloadPoint("memcached", qps=2000.0)),
+            configs=("Cshallow", "CPC1A"),
+            seeds=(1, 2),
+            props=((), (("timer_tick_hz", 250),)),
+            duration_ns=3 * MS,
+        )
+        pairs: dict = {}
+        for cell in spec.cells():
+            pairs.setdefault((cell.config, cell.props), []).append(cell)
+        assert len(pairs) == 4
+        for cells in pairs.values():
+            first = cells[0]
+            for cell in cells[1:]:
+                assert cell.resolved_props() is first.resolved_props()
+                assert cell.build_config() is first.build_config()
+        # A prop-less cell uses its preset's set, however it was built.
+        assert tiny_cell(seed=1).resolved_props() is preset_props("CPC1A")
+        assert tiny_cell(seed=1).build_config() is tiny_cell(seed=2).build_config()
+
+    def test_shared_resolution_matches_a_fresh_one(self):
+        from repro.props import apply_props
+        from repro.server.configs import config_by_name
+
+        cell = pinned_cells()["hybrid"]
+        overrides = dict(cell.props)
+        assert cell.build_config() == apply_props("Cshallow", overrides)
+        fresh = config_by_name("Cshallow").props().with_overrides(overrides)
+        assert cell.resolved_props() == fresh
+
+    def test_pickled_cell_carries_its_key_and_no_property_set(self):
+        cell = pinned_cells()["hybrid"]
+        key = cell.key()
+        cell.resolved_props()
+        blob = pickle.dumps(cell)
+        assert b"PropertySet" not in blob
+        clone = pickle.loads(blob)
+        assert vars(clone)["_key"] == key
+        assert clone == cell
+        assert not any(isinstance(v, PropertySet) for v in vars(clone).values())
+
+    def test_a_registry_change_rebuilds_the_resolutions(self, monkeypatch):
+        from repro.props import registry
+
+        cell = pinned_cells()["hybrid"]
+        before = cell.resolved_props()
+        monkeypatch.setattr(registry, "_generation", registry._generation + 1)
+        after = cell.resolved_props()
+        assert after is not before and after == before
+
+    def test_hybrid_resolutions_are_bounded(self, monkeypatch):
+        from repro.props import pset
+
+        monkeypatch.setattr(pset, "_HYBRIDS_MAX", 2)
+        for hz in (100, 200, 300):
+            pset.resolve_config("Cshallow", (("timer_tick_hz", hz),))
+        assert len(pset._table().hybrids) <= 2
+
+
+class TestRecordLayout:
+    @staticmethod
+    def canonical(data) -> str:
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+    def test_put_writes_one_compact_canonical_record(self, tmp_path):
+        cell = tiny_cell(qps=4_000)
+        store = ResultStore(tmp_path / "cache")
+        store.put(cell.key(), run_cell(cell), spec=cell)
+        text = (store.root / f"{cell.key()}.json").read_text()
+        record = json.loads(text)
+        assert text == self.canonical(record)
+        blob = self.canonical(record["result"])
+        assert record["sha256"] == hashlib.sha256(blob.encode()).hexdigest()
+        assert record["spec"] == json.loads(json.dumps(cell.as_dict()))
+
+    def test_indented_record_of_the_previous_writer_verifies_and_hits(
+        self, tmp_path
+    ):
+        cell = pinned_cells()["preset"]
+        legacy = DATA_DIR / "store_record_indent1.json"
+        assert legacy.read_text().startswith('{\n "key": ')
+        store = ResultStore(tmp_path / "cache")
+        shutil.copy(legacy, store.root / f"{cell.key()}.json")
+        report = store.verify(quarantine=False)
+        assert (report["ok"], report["legacy"], report["corrupt"]) == (1, 0, [])
+        cached = store.get(cell.key())
+        assert store.hits == 1
+        fresh = run_cell(cell)
+        assert self.canonical(result_to_dict(cached)) == self.canonical(
+            result_to_dict(fresh)
+        )
+        # The new writer's payload and checksum are the old writer's.
+        old_record = json.loads(legacy.read_text())
+        store.put(cell.key(), fresh, spec=cell)
+        record = json.loads((store.root / f"{cell.key()}.json").read_text())
+        assert record == old_record
+
+    def test_fleet_record_reads_back_unchanged(self, tmp_path):
+        from repro.api import run_cell as run_any_cell
+
+        cell = pinned_cells()["fleet_hybrid"]
+        result = run_any_cell(cell)
+        store = ResultStore(tmp_path / "cache")
+        store.put(cell.key(), result, spec=cell)
+        loaded = store.get(cell.key())
+        assert loaded == result
+        assert loaded.as_dict() == result.as_dict()
+        text = (store.root / f"{cell.key()}.json").read_text()
+        assert json.loads(text)["result"] == json.loads(
+            json.dumps(result.as_dict())
+        )
 
 
 class TestResultStore:

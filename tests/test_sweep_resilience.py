@@ -598,6 +598,7 @@ class TestCliRecovery:
         finally:
             proc.kill()
             proc.wait(timeout=60)
+            proc.stderr.close()
         # The pool's workers must see EOF on their job pipes once the
         # supervisor is gone, and exit rather than linger as orphans.
         assert workers

@@ -10,7 +10,9 @@ labelling, and the hardened atomic store writes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from types import MappingProxyType
 
 import pytest
 
@@ -18,7 +20,7 @@ from repro.scenarios import registry as scenarios
 from repro.server.configs import MachineConfig, config_by_name
 from repro.server.experiment import run_experiment
 from repro.server.machine import ServerMachine
-from repro.server.recycle import CheckpointError, MachineCheckpoint
+from repro.server.recycle import CheckpointError, MachineCheckpoint, _is_immutable
 from repro.sim.engine import Simulator
 from repro.sweep import (
     ExperimentSpec,
@@ -33,6 +35,7 @@ from repro.sweep import (
     result_to_dict,
 )
 from repro.sweep.session import _cell_task, clear_warm_machines
+from repro.sweep.store import _canonical, _encode_result
 from repro.sweep.supervisor import CellPolicy
 from repro.units import MS
 
@@ -195,6 +198,121 @@ class TestRecycleGolden:
         machine._policy.history.append(42)
         checkpoint.restore(1)
         assert machine._policy.history == []
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenLog:
+    """A frozen repro-side object that holds a mutable list."""
+
+    __module__ = "repro.power.budgets"
+
+    entries: list
+
+
+@dataclasses.dataclass(frozen=True)
+class TableSpec:
+    """A frozen power spec whose table type the test chooses."""
+
+    __module__ = "repro.power.budgets"
+
+    idle_w: float = 1.0
+    read_only: bool = True
+
+    def __post_init__(self) -> None:
+        table = {"idle": self.idle_w}
+        if self.read_only:
+            table = MappingProxyType(table)
+        object.__setattr__(self, "watts", table)
+
+
+class TestWalkerLeaves:
+    """Frozen dataclasses of immutables are captured by reference; any
+    other frozen object is still walked, refilled and audited."""
+
+    def test_restore_plan_sizes_are_pinned(self):
+        # Growth here means new per-machine state the walker must
+        # capture and restore on every recycle: make it a leaf (a
+        # frozen spec of immutables) or account for it in the docs.
+        checkpoint = MachineCheckpoint(
+            ServerMachine(config_by_name("CPC1A"), seed=1)
+        )
+        assert len(checkpoint._dict_plans) == 127
+        assert len(checkpoint._refills) == 89
+        assert len(checkpoint._slot_plans) == 30
+
+    def test_machine_specs_and_config_are_leaves(self):
+        machine = ServerMachine(config_by_name("CPC1A"), seed=1)
+        assert _is_immutable(machine.config, set())
+        assert _is_immutable(machine.budget, set())
+        assert _is_immutable(machine.cores[0].spec, set())
+        checkpoint = MachineCheckpoint(machine)
+        captured = {id(instance_dict) for instance_dict, _ in checkpoint._dict_plans}
+        assert id(vars(machine.budget.core)) not in captured
+        assert id(vars(machine.config)) not in captured
+
+    def test_frozen_object_holding_a_list_is_walked_and_restored(self):
+        config = config_by_name("CPC1A")
+        machine = ServerMachine(config, seed=1)
+        log = FrozenLog(entries=[])
+        machine._log = log
+        assert not _is_immutable(log, set())
+        machine.checkpoint()
+        log.entries.append(42)  # a run that dirties the frozen object
+        machine.run_for(1 * MS)
+        machine.recycle(config, 2)
+        assert log.entries == []
+        assert machine._log is log
+
+    def test_frozen_spec_with_a_plain_dict_table_is_not_a_leaf(self):
+        plain, read_only = TableSpec(read_only=False), TableSpec()
+        assert not _is_immutable(plain, set())
+        assert _is_immutable(read_only, set())
+        machine = ServerMachine(config_by_name("CPC1A"), seed=1)
+        machine._plain, machine._read_only = plain, read_only
+        checkpoint = MachineCheckpoint(machine)
+        refilled = {id(original) for _tag, original, _ in checkpoint._refills}
+        captured = {id(instance_dict) for instance_dict, _ in checkpoint._dict_plans}
+        assert id(plain.watts) in refilled and id(vars(plain)) in captured
+        assert id(vars(read_only)) not in captured
+        plain.watts["idle"] = 9.0
+        checkpoint.restore(1)
+        assert plain.watts == {"idle": 1.0}
+
+    def test_unknown_type_inside_a_frozen_object_is_refused(self):
+        machine = ServerMachine(config_by_name("CPC1A"), seed=1)
+        machine._log = FrozenLog(entries=(bytearray(b"mutable"),))
+        with pytest.raises(CheckpointError, match="bytearray"):
+            MachineCheckpoint(machine)
+
+    def test_cell_recycle_refuses_a_runtime_of_another_config(self):
+        cell = ExperimentSpec(
+            workload="idle", qps=0.0, preset="low", config="Cshallow",
+            seed=1, duration_ns=3 * MS, warmup_ns=1 * MS,
+        )
+        runtime = ServerMachine(config_by_name("CPC1A"), seed=1)
+        runtime.checkpoint()
+        with pytest.raises(ValueError, match="CPC1A"):
+            cell.recycle(runtime)
+
+
+class TestRecordPayload:
+    def test_payload_equals_asdict_for_every_scenario(self):
+        from repro.api import run_cell
+
+        for name in scenarios.scenario_names():
+            qps, preset = scenario_point(name)
+            cell = ExperimentSpec(
+                workload=name, qps=qps, preset=preset, config="CPC1A",
+                seed=1, duration_ns=3 * MS, warmup_ns=1 * MS,
+            )
+            result = run_cell(cell)
+            kind, payload = _encode_result(result)
+            plain = dataclasses.asdict(result)
+            assert kind == "experiment"
+            assert payload == plain, name
+            assert _canonical(payload) == json.dumps(
+                plain, sort_keys=True, separators=(",", ":")
+            ), name
 
 
 def short_grid(rates=(0, 20_000), configs=("Cshallow", "CPC1A"), seeds=(1, 2)):
