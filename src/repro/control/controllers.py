@@ -132,6 +132,21 @@ class SleepScaleController(Controller):
         Deterministic by construction: the scan order (active counts
         ascending, ladder fastest-first) breaks power ties, and every
         operand is a pure function of plane state at this tick.
+
+        The grid is walked as a staircase, in at most n_servers + S
+        feasibility checks instead of n_servers x S:
+
+        * feasibility grows with the active count (utilization and
+          predicted latency fall as capacity grows);
+        * it shrinks down the ladder (work and stretched service grow
+          toward the slow end), so each state's fewest feasible
+          servers is at least the previous state's;
+        * predicted power rises by ACTIVE_IDLE_W - PARKED_W with each
+          active server at a fixed state (``n * cores * rho`` is the
+          state's offered work whatever ``n`` is).
+
+        So each state's best cell is at its fewest feasible servers,
+        and those cells, taken down the ladder, come in scan order.
         """
         table = plane.pstate_table
         rate = plane.arrivals.rate_per_ns
@@ -140,33 +155,34 @@ class SleepScaleController(Controller):
         core = plane.core_spec
         n_servers = plane.n_servers
         slo_budget = PREDICT_MARGIN * plane.slo_p99_ns - plane.overhead_ns
-        # Per P-state: (name, offered work, stretched service, dynamic
-        # watts), the same for every active count, so taken once a tick.
-        ladder: list[tuple[str, float, float, float]] = []
+        best: tuple[int, str] | None = None
+        best_power = math.inf
+        n_active = 1
         for state in table.states:
             scale = table.service_scale(state)
             work = rate * service_ns * scale
+            stretched_ns = service_ns * scale
+            # The fewest servers (no fewer than the last state's) that
+            # carry this state inside the utilization cap and the SLO.
+            while n_active <= n_servers:
+                rho = work / (n_active * cores)
+                if (
+                    rho < RHO_CAP
+                    and P99_OVER_MEAN * (stretched_ns / (1.0 - rho)) <= slo_budget
+                ):
+                    break
+                n_active += 1
+            else:
+                # Infeasible at every count: so is every slower state.
+                break
             dyn_w = core.cc0_w * table.power_scale(state) - core.cc1_w
-            ladder.append((state.name, work, service_ns * scale, dyn_w))
-        best: tuple[int, str] | None = None
-        best_power = math.inf
-        for n_active in range(1, n_servers + 1):
-            capacity = n_active * cores
-            parked_w = (n_servers - n_active) * PARKED_W
-            # The ladder runs fastest first, so work and stretched
-            # service only grow along it: once a state is infeasible,
-            # every slower one is too.
-            for name, work, stretched_ns, dyn_w in ladder:
-                rho = work / capacity
-                if rho >= RHO_CAP:
-                    break
-                mean_ns = stretched_ns / (1.0 - rho)
-                if P99_OVER_MEAN * mean_ns > slo_budget:
-                    break
-                power = n_active * (ACTIVE_IDLE_W + cores * rho * dyn_w) + parked_w
-                if power < best_power:
-                    best_power = power
-                    best = (n_active, name)
+            power = (
+                n_active * (ACTIVE_IDLE_W + cores * rho * dyn_w)
+                + (n_servers - n_active) * PARKED_W
+            )
+            if power < best_power:
+                best_power = power
+                best = (n_active, state.name)
         return best
 
 

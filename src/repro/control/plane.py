@@ -82,6 +82,11 @@ class ControlPlane:
             machines[0].config.network_latency_ns
             + fleet.cluster.dispatch_latency_ns
         )
+        #: Per-server one-way network latency, taken once: every
+        #: completion adds it to the server latency.
+        self.network_latency_ns = [
+            machine.config.network_latency_ns for machine in machines
+        ]
         n = self.n_servers
         self.phase = np.zeros(n, dtype=np.int8)
         self.phase_since = np.zeros(n, dtype=np.int64)
@@ -123,11 +128,14 @@ class ControlPlane:
 
     def observe_complete(self, index: int, request: Request) -> None:
         """Every completion feeds the pooled end-to-end latency window."""
-        latency = (
-            request.server_latency_ns
-            + self.fleet.machines[index].config.network_latency_ns
+        # Request.server_latency_ns, inlined: it runs once per request.
+        arrival_ns = request.arrival_ns
+        completed_ns = request.completed_ns
+        if arrival_ns is None or completed_ns is None:
+            raise ValueError("request has not completed")
+        self.latency_window.record(
+            completed_ns - arrival_ns + self.network_latency_ns[index]
         )
-        self.latency_window.record(latency)
 
     # -- the control tick ----------------------------------------------------
     def _tick(self) -> None:
@@ -191,10 +199,15 @@ class ControlPlane:
         filling the low end of the fleet first.
         """
         target = max(1, min(self.n_servers, int(target)))
-        for index in range(target):
+        # Only draining or parked servers below the target and active
+        # ones above it are touched; for every other server the verbs
+        # are no-ops.
+        head = self.phase[:target]
+        for index in ((head == DRAINING) | (head == PARKED)).nonzero()[0].tolist():
             self.unpark(index)
-        for index in range(target, self.n_servers):
-            self.park(index)
+        tail = self.phase[target:]
+        for index in (tail == ACTIVE).nonzero()[0].tolist():
+            self.park(target + index)
 
     def set_fleet_pstate(self, name: str) -> None:
         """Move every serving machine to P-state ``name``.
@@ -203,15 +216,19 @@ class ControlPlane:
         booting machine picks the desired state up when it activates.
         """
         self.desired_pstate = name
-        for index in range(self.n_servers):
-            if self.phase[index] in (ACTIVE, DRAINING):
-                self.fleet.machines[index].set_pstate(name)
+        machines = self.fleet.machines
+        phases = self.phase
+        serving = (phases == ACTIVE) | (phases == DRAINING)
+        for index in serving.nonzero()[0].tolist():
+            machines[index].set_pstate(name)
 
     # -- lifecycle progression (tick-quantized) ------------------------------
     def _advance_lifecycle(self, now: int) -> None:
         state = self.fleet.state
-        for index in range(self.n_servers):
-            phase = self.phase[index]
+        phases = self.phase
+        moving = ((phases == DRAINING) | (phases == BOOTING)).nonzero()[0]
+        for index in moving.tolist():
+            phase = phases[index]
             if phase == DRAINING:
                 if (
                     state.outstanding[index] == 0
@@ -270,9 +287,20 @@ class ControlPlane:
 
     # -- deep gating (parked-dwell thresholds) -------------------------------
     def _deepen_parked(self, now: int) -> None:
-        for index in range(self.n_servers):
-            if self.phase[index] != PARKED:
-                continue
+        # Visit only parked servers with a gate due: for the others (every
+        # enabled gate taken, or each dwell short of its threshold) the
+        # body decides nothing.
+        dwells = now - self.phase_since
+        due = np.zeros(self.n_servers, dtype=bool)
+        for threshold_ns, gated in (
+            (self.gate_dram_ns, self.gated_dram),
+            (self.gate_nic_ns, self.gated_nic),
+            (self.gate_iolink_ns, self.gated_link),
+        ):
+            if threshold_ns > 0:
+                due |= ~gated & (dwells >= threshold_ns)
+        due &= self.phase == PARKED
+        for index in due.nonzero()[0].tolist():
             dwell = now - self.phase_since[index]
             machine = self.fleet.machines[index]
             want_dram = (

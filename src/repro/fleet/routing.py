@@ -23,7 +23,10 @@ A policy is a **pure function** ``choose(state, request) -> index``
 over the read-only :class:`~repro.fleet.state.FleetState` array view —
 one numpy pass per decision, no per-server Python object walks, no
 hidden mutation (the balancer advances ``state.cursor`` after the
-route). See ``docs/fleet.md`` ("Adding a policy") for the contract.
+route). Policies run once per request, so they call the ndarray
+methods (``a.argmin()``, about 0.3 µs) rather than the ``np.argmin``
+wrappers (about 2 µs); results and tie-breaks are the same. See
+``docs/fleet.md`` ("Adding a policy") for the contract.
 
 The balancer adds a configurable ``dispatch_latency_ns`` to every
 routed request (the ToR hop plus the balancer's own decision time),
@@ -60,16 +63,18 @@ def _masked_outstanding(state: FleetState) -> "np.ndarray | None":
     """
     if state.n_unroutable >= state.n_servers:
         return None
-    return np.where(state.unroutable, _UNROUTABLE_PENALTY, state.outstanding)
+    masked = state.outstanding.copy()
+    masked[state.unroutable] = _UNROUTABLE_PENALTY
+    return masked
 
 
 def _round_robin(state: FleetState, request: "Request | None") -> int:
     """The classic even spread: cycle the cursor across the fleet."""
     if state.n_unroutable:
-        candidates = np.flatnonzero(~state.unroutable)
+        candidates = (~state.unroutable).nonzero()[0]
         if len(candidates):
             start = state.cursor % state.n_servers
-            pos = int(np.searchsorted(candidates, start))
+            pos = int(candidates.searchsorted(start))
             if pos == len(candidates):
                 pos = 0
             return int(candidates[pos])
@@ -81,8 +86,8 @@ def _least_outstanding(state: FleetState, request: "Request | None") -> int:
     if state.n_unroutable:
         masked = _masked_outstanding(state)
         if masked is not None:
-            return int(np.argmin(masked))
-    return int(np.argmin(state.outstanding))
+            return int(masked.argmin())
+    return int(state.outstanding.argmin())
 
 
 def _power_aware_pack(state: FleetState, request: "Request | None") -> int:
@@ -98,10 +103,10 @@ def _power_aware_pack(state: FleetState, request: "Request | None") -> int:
         if masked is not None:
             outstanding = masked
     below = outstanding < state.pack_watermark
-    index = int(np.argmax(below))
+    index = int(below.argmax())
     if below[index]:
         return index
-    return int(np.argmin(outstanding))
+    return int(outstanding.argmin())
 
 
 def _power_aware_spread(state: FleetState, request: "Request | None") -> int:
@@ -115,9 +120,10 @@ def _power_aware_spread(state: FleetState, request: "Request | None") -> int:
         masked = _masked_outstanding(state)
         if masked is not None:
             outstanding = masked
-    candidates = np.flatnonzero(outstanding == outstanding.min())
+    low = outstanding[outstanding.argmin()]
+    candidates = (outstanding == low).nonzero()[0]
     offsets = (candidates - state.cursor) % state.n_servers
-    return int(candidates[np.argmin(offsets)])
+    return int(candidates[offsets.argmin()])
 
 
 #: The policy registry; ``ROUTING_POLICIES`` (the validated name
@@ -236,10 +242,11 @@ class LoadBalancer:
         outstanding = self.state.outstanding
 
         def on_complete(request: Request) -> None:
-            outstanding[index] -= 1
+            left = outstanding[index] - 1
+            outstanding[index] = left
             if self.control_tap is not None:
                 self.control_tap.observe_complete(index, request)
-            if outstanding[index] == 0 and self.on_drained is not None:
+            if left == 0 and self.on_drained is not None:
                 self.on_drained(index)
 
         return on_complete

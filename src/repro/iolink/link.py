@@ -19,7 +19,7 @@ Responsibilities (paper Sec. 4.2.1 / 5.1):
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.hw.signals import Signal
 from repro.iolink.lstates import (
@@ -92,13 +92,17 @@ class IoLink:
 
     # -- traffic -----------------------------------------------------------
     def transfer(
-        self, n_bytes: int, on_delivered: Callable[[], None] | None = None
+        self,
+        n_bytes: int,
+        on_delivered: Callable[..., None] | None = None,
+        *args: Any,
     ) -> int:
         """Move ``n_bytes`` across the link; returns total latency in ns.
 
         Latency = wake latency of the current L-state (0 in L0/L0p)
         plus serialization at the link bandwidth. The idle timer is
-        re-armed after delivery.
+        re-armed after delivery, after ``on_delivered(*args)`` runs
+        (event arguments instead of a closure per transfer).
         """
         if n_bytes <= 0:
             raise LinkError(f"transfer size must be positive, got {n_bytes}")
@@ -108,7 +112,7 @@ class IoLink:
         wake_ns = self._wake_for_traffic()
         serialize_ns = max(1, round(n_bytes / self.timings.bandwidth_bytes_per_ns))
         total = wake_ns + serialize_ns
-        self.sim.schedule(total, self._delivered, on_delivered)
+        self.sim.schedule(total, self._delivered, on_delivered, *args)
         return total
 
     @property
@@ -172,12 +176,12 @@ class IoLink:
         for fn in list(self._wake_listeners):
             fn(self.name)
 
-    def _delivered(self, on_delivered: Callable[[], None] | None) -> None:
+    def _delivered(self, on_delivered: Callable[..., None] | None, *args: Any) -> None:
         self._outstanding -= 1
         if self._outstanding < 0:
             raise LinkError(f"{self.name}: outstanding underflow")
         if on_delivered is not None:
-            on_delivered()
+            on_delivered(*args)
         self._maybe_arm_idle_timer()
 
     def _on_allow_change(self, signal: Signal, old: bool, new: bool) -> None:

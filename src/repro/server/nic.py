@@ -37,9 +37,7 @@ class Nic:
         self.received += 1
         if request.arrival_ns is None:
             request.arrival_ns = self.sim.now
-        self.link.transfer(
-            max(64, request.wire_bytes), lambda: self._delivered(request)
-        )
+        self.link.transfer(max(64, request.wire_bytes), self._delivered, request)
 
     def _delivered(self, request: Request) -> None:
         request.dispatched_ns = self.sim.now

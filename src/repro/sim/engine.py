@@ -46,6 +46,11 @@ import numpy as np
 
 from repro.sim.sanitize import EventStreamSanitizer, SanitizerReport
 
+#: Draws :meth:`Simulator.randbelow` takes from the generator at once,
+#: and the run of same-bound draws after which it starts doing so.
+RNG_BLOCK = 256
+RNG_BLOCK_AFTER = 8
+
 #: Compact the heap once at least this many cancelled events are
 #: queued *and* they make up at least half the heap. The floor keeps
 #: tiny heaps from compacting on every cancel; the ratio bounds wasted
@@ -139,7 +144,11 @@ class Simulator:
     seed:
         Seed for the simulator-owned random generator (``sim.rng``).
         All stochastic models draw from this generator so a seed fully
-        determines a run.
+        determines a run. Bounded integer picks go through
+        :meth:`randbelow`, which may draw ahead in blocks; every read of
+        :attr:`rng` first rewinds the generator to just past the values
+        handed out, so no caller may hold on to the generator across
+        draws — read ``sim.rng`` again for each one.
     sanitize:
         Route every dispatch through the determinism sanitizer
         (:mod:`repro.sim.sanitize`): event-stream hashing plus
@@ -169,8 +178,83 @@ class Simulator:
         self._sanitizer: EventStreamSanitizer | None = (
             EventStreamSanitizer() if sanitize else None
         )
-        self.rng: np.random.Generator = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
+        self._drop_block()
         self.seed = seed
+
+    # -- randomness --------------------------------------------------------
+    @property
+    def rng(self) -> np.random.Generator:
+        """The simulator-owned generator, at the stream's next value.
+
+        Rewinds any block :meth:`randbelow` drew ahead first, so the
+        generator is exactly where plain scalar draws would have left
+        it. Read it again for every draw (see the class docstring).
+        """
+        bound = self._block_bound
+        if bound is not None:
+            self._rewind_block(bound)
+        self._run_len = 0
+        return self._rng
+
+    def randbelow(self, n: int) -> int:
+        """``int(sim.rng.integers(n))``: one value of the same stream.
+
+        After a run of :data:`RNG_BLOCK_AFTER` draws with the same
+        bound, values come from one ``integers(n, size=RNG_BLOCK)``
+        call, which yields the same values and leaves the generator in
+        the same state as that many scalar draws (pinned in the tests).
+        A draw with another bound, or a read of :attr:`rng`, rewinds
+        the generator to just past the values handed out.
+        """
+        pos = self._block_pos
+        if n == self._block_bound and pos < RNG_BLOCK:
+            self._block_pos = pos + 1
+            return self._block[pos]
+        return self._randbelow_slow(n)
+
+    def _randbelow_slow(self, n: int) -> int:
+        bound = self._block_bound
+        if bound is not None:
+            if n == bound:
+                # Block used up: the generator sits just past it.
+                return self._start_block(n)
+            self._rewind_block(bound)
+        if n == self._run_bound:
+            self._run_len += 1
+            if self._run_len >= RNG_BLOCK_AFTER:
+                return self._start_block(n)
+        else:
+            self._run_bound = n
+            self._run_len = 1
+        return int(self._rng.integers(n))
+
+    def _start_block(self, n: int) -> int:
+        rng = self._rng
+        self._block_state = rng.bit_generator.state
+        self._block = rng.integers(n, size=RNG_BLOCK).tolist()
+        self._block_bound = n
+        self._block_pos = 1
+        return self._block[0]
+
+    def _rewind_block(self, bound: int) -> None:
+        """Put the generator back just past the block's handed-out values."""
+        rng = self._rng
+        rng.bit_generator.state = self._block_state
+        if self._block_pos:
+            rng.integers(bound, size=self._block_pos)
+        self._drop_block()
+
+    def _drop_block(self) -> None:
+        #: The live block, its bound (None: no block), the next value
+        #: to hand out and the generator state it was drawn from.
+        self._block: list[int] = []
+        self._block_bound: int | None = None
+        self._block_pos = 0
+        self._block_state: dict[str, Any] = {}
+        #: The current run of scalar draws with one bound.
+        self._run_bound: int | None = None
+        self._run_len = 0
 
     # -- kernel observability ---------------------------------------------
     @property
@@ -473,8 +557,9 @@ class Simulator:
 
         Clears the event queue (pending events are retired, never
         fired), rewinds the clock and sequence counter to zero, zeroes
-        every kernel counter and re-seeds the random generator — so a
-        reset simulator is indistinguishable from ``Simulator(seed)``.
+        every kernel counter and re-seeds the random generator (dropping
+        any block :meth:`randbelow` drew ahead) — so a reset simulator
+        is indistinguishable from ``Simulator(seed)``.
         This is the substrate of the warm-machine sweep path: a worker
         re-runs cells on one machine instead of rebuilding the object
         graph per cell (see ``ServerMachine.recycle``).
@@ -497,7 +582,8 @@ class Simulator:
             self._sanitizer = EventStreamSanitizer()
         if seed is None:
             seed = self.seed
-        self.rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
+        self._drop_block()
         self.seed = seed
 
     def peek(self) -> int | None:

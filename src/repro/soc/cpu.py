@@ -27,6 +27,7 @@ from repro.power.residency import ResidencyCounter
 from repro.sim.engine import Event, Simulator
 from repro.soc.cstates import CC0, CoreCState
 from repro.soc.package import PackageController
+from repro.units import positive_ns
 
 
 class CoreError(RuntimeError):
@@ -44,10 +45,10 @@ class Job:
         service_ns: int,
         on_complete: Callable[["Job", int], None] | None = None,
     ):
-        if service_ns <= 0:
-            raise CoreError(f"service time must be positive, got {service_ns}")
+        if type(service_ns) is not int or service_ns < 1:
+            service_ns = positive_ns(service_ns, "service time", CoreError)
         self.payload = payload
-        self.service_ns = int(service_ns)
+        self.service_ns = service_ns
         self.submitted_ns: int | None = None
         self.started_ns: int | None = None
         self.on_complete = on_complete

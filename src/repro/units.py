@@ -18,6 +18,7 @@ nanoseconds.
 from __future__ import annotations
 
 import math
+from typing import Any
 
 # -- time ------------------------------------------------------------------
 NS: int = 1
@@ -31,6 +32,27 @@ MS: int = 1_000_000
 
 S: int = 1_000_000_000
 """One second, in nanoseconds."""
+
+
+def positive_ns(value: Any, what: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as int nanoseconds, or ``error`` unless whole and >= 1.
+
+    Truncating a fraction would change the model behind its back
+    (``int(0.5)`` is a zero-length job), so durations must arrive
+    whole: round in the model, as ``Delay`` and ``Simulator.schedule``
+    also demand.
+    """
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if as_int != value:
+        raise error(
+            f"{what} must be whole nanoseconds, got {value!r} (round in the model)"
+        )
+    if as_int < 1:
+        raise error(f"{what} must be positive, got {value}")
+    return as_int
 
 
 def ns_to_s(time_ns: int | float) -> float:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 import numpy as np
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
+from repro.units import positive_ns
 
 
 def workload_rng(sim: Simulator, name: str) -> np.random.Generator:
@@ -49,11 +50,11 @@ class Request:
         response_bytes: int = 1024,
         dram_bytes: int = 16_384,
     ):
-        if service_ns <= 0:
-            raise ValueError(f"service time must be positive, got {service_ns}")
+        if type(service_ns) is not int or service_ns < 1:
+            service_ns = positive_ns(service_ns, "service time")
         self.request_id = next(Request._ids)
         self.kind = kind
-        self.service_ns = int(service_ns)
+        self.service_ns = service_ns
         self.wire_bytes = int(wire_bytes)
         self.response_bytes = int(response_bytes)
         self.dram_bytes = int(dram_bytes)
@@ -78,6 +79,49 @@ class InjectTarget(Protocol):
 
     def inject(self, request: Request) -> None:  # pragma: no cover - protocol
         ...
+
+
+class OpenLoopArrivals:
+    """Drives one open-loop arrival stream with a single recycled event.
+
+    The start event is scheduled at construction (on the next event
+    boundary, so construction order within a callback does not
+    matter). It draws the first gap; every later firing injects
+    ``make(rng)`` into the target, then draws the next gap and
+    re-arms the same event by it, so draws happen in the order
+    gap, (request, gap), (request, gap), … — the order of the
+    ``yield Delay(gap); inject(make())`` generator loop this replaces,
+    with the same event times and sequence numbers.
+    """
+
+    __slots__ = ("_sim", "_inject", "_make", "_next_gap", "_rng", "_event")
+
+    def __init__(
+        self,
+        sim: Simulator,
+        target: InjectTarget,
+        make: Callable[[Any], Request],
+        next_gap: Callable[[Any], int],
+        rng: np.random.Generator | None,
+    ):
+        self._sim = sim
+        self._inject = target.inject
+        self._make = make
+        self._next_gap = next_gap
+        self._rng = rng
+        self._event: Event = sim.schedule(0, self._start)
+
+    def _start(self) -> None:
+        # Re-arm the start event itself, as the generator loop did, so
+        # the kernel's reuse count does not move.
+        event = self._event
+        event.fn = self._arrive
+        self._sim.reschedule(event, self._next_gap(self._rng))
+
+    def _arrive(self) -> None:
+        rng = self._rng
+        self._inject(self._make(rng))
+        self._sim.reschedule(self._event, self._next_gap(rng))
 
 
 class Workload:

@@ -21,9 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.engine import Simulator
-from repro.sim.process import Delay, Process
 from repro.workloads.arrivals import ArrivalProcess, GammaArrivals
-from repro.workloads.base import InjectTarget, Request, Workload, workload_rng
+from repro.workloads.base import (
+    InjectTarget,
+    OpenLoopArrivals,
+    Request,
+    Workload,
+    workload_rng,
+)
 from repro.workloads.service import LoadCalibratedService
 
 
@@ -77,13 +82,13 @@ class MemcachedWorkload(Workload):
         return self.OCCUPANCY.utilization(self.qps, n_cores)
 
     def start(self, sim: Simulator, target: InjectTarget) -> None:
-        Process(sim, self._generate(sim, target), name="memcached-gen")
-
-    def _generate(self, sim: Simulator, target: InjectTarget):
-        rng = workload_rng(sim, self.name)
-        while True:
-            yield Delay(self.arrivals.next_gap_ns(rng))
-            target.inject(self._make_request(rng))
+        OpenLoopArrivals(
+            sim,
+            target,
+            self._make_request,
+            self.arrivals.next_gap_ns,
+            workload_rng(sim, self.name),
+        )
 
     def _make_request(self, rng: np.random.Generator) -> Request:
         # OCCUPANCY.sample_ns(rng, qps) with the mean taken once.

@@ -22,11 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.sim.engine import Simulator
-from repro.sim.process import Delay, Process
 from repro.units import MS, US
 from repro.workloads.arrivals import ArrivalProcess, ConvoyArrivals, GammaArrivals
-from repro.workloads.base import InjectTarget, Request, Workload, workload_rng
+from repro.workloads.base import (
+    InjectTarget,
+    OpenLoopArrivals,
+    Request,
+    Workload,
+    workload_rng,
+)
 from repro.workloads.service import LognormalService
 
 
@@ -112,22 +119,22 @@ class MySqlWorkload(Workload):
         return self.params.expected_utilization(n_cores)
 
     def start(self, sim: Simulator, target: InjectTarget) -> None:
-        Process(sim, self._generate(sim, target), name="mysql-gen")
+        OpenLoopArrivals(
+            sim,
+            target,
+            self._make_request,
+            self.arrivals.next_gap_ns,
+            workload_rng(sim, self.name),
+        )
 
-    def _generate(self, sim: Simulator, target: InjectTarget):
-        rng = workload_rng(sim, self.name)
-        while True:
-            yield Delay(self.arrivals.next_gap_ns(rng))
-            service_ns = self.service.sample_ns(rng, self.params.rate_per_s)
-            target.inject(
-                Request(
-                    kind="oltp-txn",
-                    service_ns=service_ns,
-                    wire_bytes=512,
-                    response_bytes=2_048,
-                    dram_bytes=262_144,
-                )
-            )
+    def _make_request(self, rng: np.random.Generator) -> Request:
+        return Request(
+            kind="oltp-txn",
+            service_ns=self.service.sample_ns(rng, self.params.rate_per_s),
+            wire_bytes=512,
+            response_bytes=2_048,
+            dram_bytes=262_144,
+        )
 
     def describe(self) -> dict:
         return {

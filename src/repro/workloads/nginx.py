@@ -25,10 +25,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.engine import Simulator
-from repro.sim.process import Delay, Process
 from repro.units import US
 from repro.workloads.arrivals import ArrivalProcess, GammaArrivals
-from repro.workloads.base import InjectTarget, Request, Workload, workload_rng
+from repro.workloads.base import (
+    InjectTarget,
+    OpenLoopArrivals,
+    Request,
+    Workload,
+    workload_rng,
+)
 from repro.workloads.service import ExponentialService, LognormalService
 
 
@@ -79,13 +84,13 @@ class NginxWorkload(Workload):
         return self.qps * self.mean_service_ns() * 1e-9 / n_cores
 
     def start(self, sim: Simulator, target: InjectTarget) -> None:
-        Process(sim, self._generate(sim, target), name="nginx-gen")
-
-    def _generate(self, sim: Simulator, target: InjectTarget):
-        rng = workload_rng(sim, self.name)
-        while True:
-            yield Delay(self.arrivals.next_gap_ns(rng))
-            target.inject(self._make_request(rng))
+        OpenLoopArrivals(
+            sim,
+            target,
+            self._make_request,
+            self.arrivals.next_gap_ns,
+            workload_rng(sim, self.name),
+        )
 
     def _make_request(self, rng: np.random.Generator) -> Request:
         body_bytes = min(

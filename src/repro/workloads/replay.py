@@ -30,10 +30,9 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.sim.engine import Simulator
-from repro.sim.process import Delay, Process
 from repro.units import S, US
 from repro.workloads.arrivals import TraceReplayArrivals, load_trace
-from repro.workloads.base import InjectTarget, Request, Workload
+from repro.workloads.base import InjectTarget, OpenLoopArrivals, Request, Workload
 
 __all__ = ["TraceReplayWorkload", "load_trace"]
 
@@ -59,28 +58,26 @@ class TraceReplayWorkload(Workload):
         return self.arrivals.mean_rate_per_s()
 
     def start(self, sim: Simulator, target: InjectTarget) -> None:
-        Process(sim, self._generate(sim, target), name="replay-gen")
-
-    def _generate(self, sim: Simulator, target: InjectTarget):
         # No RNG anywhere on this path: gaps and service times come
         # from the trace (or a fixed default), keeping the replay
         # seed-independent by construction.
-        while True:
-            yield Delay(self.arrivals.next_gap_ns(None))
-            if self._services is not None:
-                service_ns = self._services[self._cursor % len(self._services)]
-                self._cursor += 1
-            else:
-                service_ns = self.DEFAULT_SERVICE_NS
-            target.inject(
-                Request(
-                    kind="replayed",
-                    service_ns=service_ns,
-                    wire_bytes=256,
-                    response_bytes=1_024,
-                    dram_bytes=16_384,
-                )
-            )
+        OpenLoopArrivals(
+            sim, target, self._make_request, self.arrivals.next_gap_ns, None
+        )
+
+    def _make_request(self, rng: None) -> Request:
+        if self._services is not None:
+            service_ns = self._services[self._cursor % len(self._services)]
+            self._cursor += 1
+        else:
+            service_ns = self.DEFAULT_SERVICE_NS
+        return Request(
+            kind="replayed",
+            service_ns=service_ns,
+            wire_bytes=256,
+            response_bytes=1_024,
+            dram_bytes=16_384,
+        )
 
     def describe(self) -> dict:
         return {
