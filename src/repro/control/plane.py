@@ -128,13 +128,8 @@ class ControlPlane:
 
     def observe_complete(self, index: int, request: Request) -> None:
         """Every completion feeds the pooled end-to-end latency window."""
-        # Request.server_latency_ns, inlined: it runs once per request.
-        arrival_ns = request.arrival_ns
-        completed_ns = request.completed_ns
-        if arrival_ns is None or completed_ns is None:
-            raise ValueError("request has not completed")
         self.latency_window.record(
-            completed_ns - arrival_ns + self.network_latency_ns[index]
+            request.server_latency_ns + self.network_latency_ns[index]
         )
 
     # -- the control tick ----------------------------------------------------
@@ -287,47 +282,35 @@ class ControlPlane:
 
     # -- deep gating (parked-dwell thresholds) -------------------------------
     def _deepen_parked(self, now: int) -> None:
-        # Visit only parked servers with a gate due: for the others (every
-        # enabled gate taken, or each dwell short of its threshold) the
-        # body decides nothing.
+        # A gate is due on a parked server that has not taken it and has
+        # dwelt its threshold (0 disables the gate); visit only servers
+        # with some gate due.
+        parked = self.phase == PARKED
         dwells = now - self.phase_since
-        due = np.zeros(self.n_servers, dtype=bool)
-        for threshold_ns, gated in (
-            (self.gate_dram_ns, self.gated_dram),
-            (self.gate_nic_ns, self.gated_nic),
-            (self.gate_iolink_ns, self.gated_link),
-        ):
-            if threshold_ns > 0:
-                due |= ~gated & (dwells >= threshold_ns)
-        due &= self.phase == PARKED
-        for index in due.nonzero()[0].tolist():
-            dwell = now - self.phase_since[index]
+        want_dram, want_nic, want_link = (
+            parked & ~gated & (dwells >= threshold_ns)
+            if threshold_ns > 0
+            else np.zeros_like(parked)
+            for threshold_ns, gated in (
+                (self.gate_dram_ns, self.gated_dram),
+                (self.gate_nic_ns, self.gated_nic),
+                (self.gate_iolink_ns, self.gated_link),
+            )
+        )
+        for index in (want_dram | want_nic | want_link).nonzero()[0].tolist():
             machine = self.fleet.machines[index]
-            want_dram = (
-                self.gate_dram_ns > 0
-                and not self.gated_dram[index]
-                and dwell >= self.gate_dram_ns
-            )
-            want_nic = (
-                self.gate_nic_ns > 0
-                and not self.gated_nic[index]
-                and dwell >= self.gate_nic_ns
-            )
-            want_link = (
-                self.gate_iolink_ns > 0
-                and not self.gated_link[index]
-                and dwell >= self.gate_iolink_ns
-                and len(machine.links) > 1
-            )
-            if not (want_dram or want_nic or want_link):
+            dram = want_dram[index]
+            nic = want_nic[index]
+            link = want_link[index] and len(machine.links) > 1
+            if not (dram or nic or link):
                 continue
             if not self._hold_apc(index, machine):
                 continue
-            if want_dram and self._force_self_refresh(machine.memory_controllers):
+            if dram and self._force_self_refresh(machine.memory_controllers):
                 self.gated_dram[index] = True
-            if want_nic and self._force_l1(machine.links[:1]):
+            if nic and self._force_l1(machine.links[:1]):
                 self.gated_nic[index] = True
-            if want_link and self._force_l1(machine.links[1:]):
+            if link and self._force_l1(machine.links[1:]):
                 self.gated_link[index] = True
 
     def _hold_apc(self, index: int, machine) -> bool:

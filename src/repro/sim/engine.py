@@ -45,11 +45,10 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.sim.sanitize import EventStreamSanitizer, SanitizerReport
+from repro.units import whole_ns
 
-#: Draws :meth:`Simulator.randbelow` takes from the generator at once,
-#: and the run of same-bound draws after which it starts doing so.
+#: Values :meth:`Simulator.randbelow` draws from the generator at once.
 RNG_BLOCK = 256
-RNG_BLOCK_AFTER = 8
 
 #: Compact the heap once at least this many cancelled events are
 #: queued *and* they make up at least half the heap. The floor keeps
@@ -122,18 +121,7 @@ _new_event = object.__new__
 
 def _as_int_ns(value: Any) -> int:
     """Coerce a scheduling time to int nanoseconds, rejecting fractions."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError):
-        raise SimulationError(
-            f"simulation times must be integers, got {value!r}"
-        ) from None
-    if as_int != value:
-        raise SimulationError(
-            f"simulation times must be whole nanoseconds, got {value!r} "
-            "(round in the model, not in the kernel)"
-        )
-    return as_int
+    return whole_ns(value, "simulation time", SimulationError)
 
 
 class Simulator:
@@ -145,10 +133,9 @@ class Simulator:
         Seed for the simulator-owned random generator (``sim.rng``).
         All stochastic models draw from this generator so a seed fully
         determines a run. Bounded integer picks go through
-        :meth:`randbelow`, which may draw ahead in blocks; every read of
-        :attr:`rng` first rewinds the generator to just past the values
-        handed out, so no caller may hold on to the generator across
-        draws — read ``sim.rng`` again for each one.
+        :meth:`randbelow`, which may draw ahead in blocks but hands out
+        the values single draws would and leaves :attr:`rng` where they
+        would.
     sanitize:
         Route every dispatch through the determinism sanitizer
         (:mod:`repro.sim.sanitize`): event-stream hashing plus
@@ -179,7 +166,7 @@ class Simulator:
             EventStreamSanitizer() if sanitize else None
         )
         self._rng = np.random.default_rng(seed)
-        self._drop_block()
+        self._reset_blocks(on=True)
         self.seed = seed
 
     # -- randomness --------------------------------------------------------
@@ -187,49 +174,40 @@ class Simulator:
     def rng(self) -> np.random.Generator:
         """The simulator-owned generator, at the stream's next value.
 
-        Rewinds any block :meth:`randbelow` drew ahead first, so the
-        generator is exactly where plain scalar draws would have left
-        it. Read it again for every draw (see the class docstring).
+        Hands the generator over for good: any block :meth:`randbelow`
+        drew ahead is rewound first, and until :meth:`reset`
+        ``randbelow`` draws single values from it, so a caller may hold
+        on to the generator.
         """
-        bound = self._block_bound
-        if bound is not None:
-            self._rewind_block(bound)
-        self._run_len = 0
+        if self._blocks_on:
+            self._stop_blocks()
         return self._rng
 
     def randbelow(self, n: int) -> int:
-        """``int(sim.rng.integers(n))``: one value of the same stream.
+        """``int(sim.rng.integers(n))``: the next value of the same stream.
 
-        After a run of :data:`RNG_BLOCK_AFTER` draws with the same
-        bound, values come from one ``integers(n, size=RNG_BLOCK)``
-        call, which yields the same values and leaves the generator in
-        the same state as that many scalar draws (pinned in the tests).
-        A draw with another bound, or a read of :attr:`rng`, rewinds
-        the generator to just past the values handed out.
+        While every draw since :meth:`reset` has had one bound and
+        nothing has read :attr:`rng`, values come from
+        ``integers(n, size=RNG_BLOCK)`` blocks, which yield the same
+        values and leave the generator in the same state as that many
+        single draws (pinned in the tests). A second bound or a read of
+        :attr:`rng` rewinds the generator to just past the values handed
+        out, once, and turns blocks off until :meth:`reset`.
         """
         pos = self._block_pos
         if n == self._block_bound and pos < RNG_BLOCK:
             self._block_pos = pos + 1
             return self._block[pos]
-        return self._randbelow_slow(n)
-
-    def _randbelow_slow(self, n: int) -> int:
-        bound = self._block_bound
-        if bound is not None:
-            if n == bound:
-                # Block used up: the generator sits just past it.
-                return self._start_block(n)
-            self._rewind_block(bound)
-        if n == self._run_bound:
-            self._run_len += 1
-            if self._run_len >= RNG_BLOCK_AFTER:
-                return self._start_block(n)
-        else:
-            self._run_bound = n
-            self._run_len = 1
+        if self._blocks_on:
+            return self._next_block(n)
         return int(self._rng.integers(n))
 
-    def _start_block(self, n: int) -> int:
+    def _next_block(self, n: int) -> int:
+        if self._block_bound not in (None, n):
+            self._stop_blocks()
+            return int(self._rng.integers(n))
+        # The first draw, or the block is used up and the generator
+        # sits just past it.
         rng = self._rng
         self._block_state = rng.bit_generator.state
         self._block = rng.integers(n, size=RNG_BLOCK).tolist()
@@ -237,24 +215,23 @@ class Simulator:
         self._block_pos = 1
         return self._block[0]
 
-    def _rewind_block(self, bound: int) -> None:
-        """Put the generator back just past the block's handed-out values."""
-        rng = self._rng
-        rng.bit_generator.state = self._block_state
-        if self._block_pos:
-            rng.integers(bound, size=self._block_pos)
-        self._drop_block()
+    def _stop_blocks(self) -> None:
+        """Rewind to just past the values handed out; no blocks until reset."""
+        bound = self._block_bound
+        if bound is not None:
+            self._rng.bit_generator.state = self._block_state
+            self._rng.integers(bound, size=self._block_pos)
+        self._reset_blocks(on=False)
 
-    def _drop_block(self) -> None:
-        #: The live block, its bound (None: no block), the next value
-        #: to hand out and the generator state it was drawn from.
+    def _reset_blocks(self, on: bool) -> None:
+        #: Whether randbelow may draw ahead; the live block, its bound
+        #: (None: no block), the next value to hand out and the
+        #: generator state the block was drawn from.
+        self._blocks_on = on
         self._block: list[int] = []
         self._block_bound: int | None = None
         self._block_pos = 0
         self._block_state: dict[str, Any] = {}
-        #: The current run of scalar draws with one bound.
-        self._run_bound: int | None = None
-        self._run_len = 0
 
     # -- kernel observability ---------------------------------------------
     @property
@@ -558,8 +535,8 @@ class Simulator:
         Clears the event queue (pending events are retired, never
         fired), rewinds the clock and sequence counter to zero, zeroes
         every kernel counter and re-seeds the random generator (dropping
-        any block :meth:`randbelow` drew ahead) — so a reset simulator
-        is indistinguishable from ``Simulator(seed)``.
+        any block :meth:`randbelow` drew ahead, with blocks back on) —
+        so a reset simulator is indistinguishable from ``Simulator(seed)``.
         This is the substrate of the warm-machine sweep path: a worker
         re-runs cells on one machine instead of rebuilding the object
         graph per cell (see ``ServerMachine.recycle``).
@@ -583,7 +560,7 @@ class Simulator:
         if seed is None:
             seed = self.seed
         self._rng = np.random.default_rng(seed)
-        self._drop_block()
+        self._reset_blocks(on=True)
         self.seed = seed
 
     def peek(self) -> int | None:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.sim.engine import Simulator, SimulationError
+from repro.units import whole_ns
 
 
 class Interrupt(Exception):
@@ -51,14 +52,9 @@ class Delay:
     __slots__ = ("duration_ns",)
 
     def __init__(self, duration_ns: int):
-        if duration_ns < 0:
-            raise ValueError(f"delay must be non-negative, got {duration_ns}")
-        if duration_ns != int(duration_ns):
-            raise ValueError(
-                f"delay must be whole nanoseconds, got {duration_ns!r} "
-                "(round in the model, not in the kernel)"
-            )
-        self.duration_ns = int(duration_ns)
+        if type(duration_ns) is not int or duration_ns < 0:
+            duration_ns = whole_ns(duration_ns, "delay", minimum=0)
+        self.duration_ns = duration_ns
 
 
 class WaitEvent:

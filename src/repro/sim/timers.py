@@ -5,13 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.sim.engine import Event, Simulator
-
-
-def _whole_ns(value: int, what: str) -> int:
-    """Validate an integral nanosecond count (no silent truncation)."""
-    if value != int(value):
-        raise ValueError(f"{what} must be whole nanoseconds, got {value!r}")
-    return int(value)
+from repro.units import whole_ns
 
 
 class PeriodicTimer:
@@ -25,10 +19,8 @@ class PeriodicTimer:
     """
 
     def __init__(self, sim: Simulator, period_ns: int, fn: Callable[[], Any]):
-        if period_ns <= 0:
-            raise ValueError(f"period must be positive, got {period_ns}")
         self.sim = sim
-        self.period_ns = _whole_ns(period_ns, "period")
+        self.period_ns = whole_ns(period_ns, "period", minimum=1)
         self.fn = fn
         self._event: Event | None = None
         self.fire_count = 0
@@ -79,10 +71,8 @@ class RestartableTimeout:
     """
 
     def __init__(self, sim: Simulator, duration_ns: int, fn: Callable[[], Any]):
-        if duration_ns < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_ns}")
         self.sim = sim
-        self.duration_ns = _whole_ns(duration_ns, "duration")
+        self.duration_ns = whole_ns(duration_ns, "duration", minimum=0)
         self.fn = fn
         self._event: Event | None = None
         self._spent: Event | None = None

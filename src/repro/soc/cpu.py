@@ -27,7 +27,7 @@ from repro.power.residency import ResidencyCounter
 from repro.sim.engine import Event, Simulator
 from repro.soc.cstates import CC0, CoreCState
 from repro.soc.package import PackageController
-from repro.units import positive_ns
+from repro.units import whole_ns
 
 
 class CoreError(RuntimeError):
@@ -46,7 +46,7 @@ class Job:
         on_complete: Callable[["Job", int], None] | None = None,
     ):
         if type(service_ns) is not int or service_ns < 1:
-            service_ns = positive_ns(service_ns, "service time", CoreError)
+            service_ns = whole_ns(service_ns, "service time", CoreError, minimum=1)
         self.payload = payload
         self.service_ns = service_ns
         self.submitted_ns: int | None = None

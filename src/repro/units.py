@@ -34,13 +34,20 @@ S: int = 1_000_000_000
 """One second, in nanoseconds."""
 
 
-def positive_ns(value: Any, what: str, error: type[Exception] = ValueError) -> int:
-    """``value`` as int nanoseconds, or ``error`` unless whole and >= 1.
+def whole_ns(
+    value: Any,
+    what: str,
+    error: type[Exception] = ValueError,
+    minimum: int | None = None,
+) -> int:
+    """``value`` as int nanoseconds; ``error`` unless it is whole (and at
+    least ``minimum``, when given).
 
     Truncating a fraction would change the model behind its back
-    (``int(0.5)`` is a zero-length job), so durations must arrive
-    whole: round in the model, as ``Delay`` and ``Simulator.schedule``
-    also demand.
+    (``int(0.5)`` is a zero-length job), so times and durations must
+    arrive whole: round in the model, not in the kernel. The one check
+    behind ``Simulator.schedule``, ``Delay``, ``Request`` and ``Job``;
+    callers keep a ``type(x) is int`` fast path in front of it.
     """
     try:
         as_int = int(value)
@@ -48,10 +55,11 @@ def positive_ns(value: Any, what: str, error: type[Exception] = ValueError) -> i
         raise error(f"{what} must be an integer, got {value!r}") from None
     if as_int != value:
         raise error(
-            f"{what} must be whole nanoseconds, got {value!r} (round in the model)"
+            f"{what} must be whole nanoseconds, got {value!r} "
+            "(round in the model, not in the kernel)"
         )
-    if as_int < 1:
-        raise error(f"{what} must be positive, got {value}")
+    if minimum is not None and as_int < minimum:
+        raise error(f"{what} must be at least {minimum} ns, got {value!r}")
     return as_int
 
 

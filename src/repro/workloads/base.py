@@ -9,7 +9,7 @@ from typing import Any, Callable, Protocol
 import numpy as np
 
 from repro.sim.engine import Event, Simulator
-from repro.units import positive_ns
+from repro.units import whole_ns
 
 
 def workload_rng(sim: Simulator, name: str) -> np.random.Generator:
@@ -51,7 +51,7 @@ class Request:
         dram_bytes: int = 16_384,
     ):
         if type(service_ns) is not int or service_ns < 1:
-            service_ns = positive_ns(service_ns, "service time")
+            service_ns = whole_ns(service_ns, "service time", minimum=1)
         self.request_id = next(Request._ids)
         self.kind = kind
         self.service_ns = service_ns

@@ -28,7 +28,7 @@ from repro.fleet.state import FleetState
 from repro.scenarios import build
 from repro.server.configs import cpc1a
 from repro.server.machine import ServerMachine
-from repro.sim.engine import RNG_BLOCK, RNG_BLOCK_AFTER, Simulator
+from repro.sim.engine import RNG_BLOCK, Simulator
 from repro.soc.cpu import CoreError, Job
 from repro.units import MS
 from repro.workloads.base import Request
@@ -98,25 +98,36 @@ class TestRandbelowBlocks:
             assert got == want, (op, arg, count)
         assert sim.rng.bit_generator.state == reference.bit_generator.state
 
-    def test_alternating_bounds_stay_on_scalar_draws(self):
+    def test_the_first_draw_starts_a_block(self):
         sim = Simulator(5)
-        for _ in range(100):
-            sim.randbelow(10)
-            sim.randbelow(8)
-        assert sim._block_bound is None
-        assert sim._block_state == {}
-
-    def test_a_same_bound_run_starts_a_block(self):
-        sim = Simulator(5)
-        for _ in range(RNG_BLOCK_AFTER):
-            sim.randbelow(10)
-        assert sim._block_bound == 10
-        # Reading the generator rewinds it and drops the block.
+        sim.randbelow(10)
+        assert sim._block_bound == 10 and sim._block_pos == 1
+        # Reading the generator rewinds it and turns blocks off.
         state = sim.rng.bit_generator.state
         reference = np.random.default_rng(5)
-        reference.integers(10, size=RNG_BLOCK_AFTER)
+        reference.integers(10)
         assert state == reference.bit_generator.state
-        assert sim._block_bound is None
+        assert sim._block_bound is None and not sim._blocks_on
+
+    def test_a_held_generator_stays_in_step(self):
+        sim = Simulator(5)
+        reference = np.random.default_rng(5)
+        held = sim.rng
+        for _ in range(RNG_BLOCK + 3):
+            assert sim.randbelow(10) == int(reference.integers(10))
+            assert held.random() == reference.random()
+        assert sim._block_state == {}
+
+    def test_a_second_bound_turns_blocks_off_until_reset(self):
+        sim = Simulator(5)
+        reference = np.random.default_rng(5)
+        for bound in (10, 10, 8, 10, 10, 6):
+            assert sim.randbelow(bound) == int(reference.integers(bound))
+        # One rewind at the 8, single draws after it.
+        assert not sim._blocks_on and sim._block_state == {}
+        sim.reset()
+        sim.randbelow(10)
+        assert sim._blocks_on and sim._block_bound == 10
 
     def test_an_idle_machine_takes_no_snapshot(self):
         machine = ServerMachine(cpc1a(), seed=5)
@@ -174,8 +185,10 @@ def _fleet_run(cluster, name, qps, seed, duration_ns, warmup_ns):
 class TestMixedBoundFleet:
     """Servers of 10, 8, 10 and 6 cores share one generator.
 
-    Packing runs long same-bound streaks (blocks, then a rewind at each
-    spill); round robin alternates bounds (scalar draws throughout).
+    The first core pick starts a block; the first pick on a server with
+    another core count rewinds it (early under round robin, at the
+    first spill under packing), and the rest of the cell draws single
+    values.
     """
 
     @pytest.mark.parametrize(
@@ -270,6 +283,8 @@ class TestControlPlanePinned:
         assert plane.phase.tolist() == phases
         assert fleet.sim.events_processed == events
         assert _row_digest(row) == digest
+        # A uniform fleet picks every core from blocks.
+        assert fleet.sim._blocks_on
 
 
 _UNROUTABLE_PENALTY = np.int64(1) << 62
