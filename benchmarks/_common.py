@@ -29,7 +29,6 @@ from repro.sweep import (
     SweepSession,
     SweepSpec,
     duration_for_rate,
-    run_sweep,
     warmup_for_duration,
 )
 from repro.workloads.base import Workload
@@ -96,7 +95,7 @@ def measure(
 
 def run_bench_sweep(spec: SweepSpec) -> SweepResults:
     """Run a bench's sweep grid through the shared persistent session."""
-    return run_sweep(spec, store=_SESSION_STORE, session=bench_session())
+    return bench_session().run(spec)
 
 
 # -- throughput trajectories + regression gates ------------------------------

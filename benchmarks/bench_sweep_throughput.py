@@ -52,8 +52,8 @@ from _common import (
     last_comparable_run,
     load_trajectory,
 )
+from repro.api import run_cell
 from repro.sweep import SweepSession, SweepSpec, WorkloadPoint
-from repro.sweep.runner import _run_cell_keyed, run_cell
 from repro.units import MS
 
 #: Bump when scenario/grid definitions change incompatibly, so
@@ -104,7 +104,7 @@ def run_parallel_legacy(cells, workers: int) -> float:
     )
     start = time.perf_counter()
     with ctx.Pool(processes=workers) as pool:
-        for _key, _result in pool.imap(_run_cell_keyed, cells):
+        for _result in pool.imap(run_cell, cells):
             pass
     return time.perf_counter() - start
 

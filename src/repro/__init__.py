@@ -49,10 +49,9 @@ from repro.soc import SKX_CONFIG, SocConfig
 from repro.sweep import (
     ExperimentSpec,
     ResultStore,
-    SweepRunner,
+    SweepSession,
     SweepSpec,
     WorkloadPoint,
-    run_sweep,
 )
 from repro.workloads import (
     KafkaWorkload,
@@ -100,8 +99,7 @@ __all__ = [
     # sweeps
     "ExperimentSpec",
     "ResultStore",
-    "SweepRunner",
+    "SweepSession",
     "SweepSpec",
     "WorkloadPoint",
-    "run_sweep",
 ]

@@ -83,7 +83,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import scenarios as scenario_registry
 from repro.analysis.report import PaperComparison, comparison_table, format_table
@@ -107,6 +107,7 @@ from repro.sweep import (
     ResultStore,
     RunJournal,
     StreamingCsvWriter,
+    SweepResults,
     SweepSession,
     SweepSpec,
     WorkloadPoint,
@@ -471,13 +472,13 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     The CSV carries everything needed to re-plot the paper's
     Memcached figures (6 and 7) with external tooling. The grid runs
-    through the sweep runner, so ``--workers`` parallelises it and
+    through the sweep session, so ``--workers`` parallelises it and
     ``--store`` makes re-runs of unchanged cells cache hits.
 
-    Cells are passed to the runner as an explicit list rather than a
+    Cells are passed to the session as an explicit list rather than a
     :class:`SweepSpec`: for preset-driven workloads every listed rate
     is the same physical experiment, which a spec rejects as a
-    duplicate — here the runner simulates it once and the CSV keeps
+    duplicate — here the session simulates it once and the CSV keeps
     the historical one-row-per-rate layout.
     """
     try:
@@ -702,11 +703,10 @@ def cmd_props(args: argparse.Namespace) -> int:
 
 def _write_stats_json(
     args: argparse.Namespace, results, total: int, workers: int, rows: int,
-    run_stats: dict | None = None,
+    run_stats: dict,
 ) -> None:
     """Persist machine-readable run accounting for CI assertions."""
     unique = len({cell.key() for cell in results.cells})
-    run_stats = run_stats or {}
     quarantined = len(results.quarantined)
     stats_path = Path(args.stats_json)
     stats_path.parent.mkdir(parents=True, exist_ok=True)
@@ -729,6 +729,54 @@ def _write_stats_json(
         "journal_skipped": run_stats.get("journal_skipped", 0),
     }, indent=1, sort_keys=True) + "\n")
     print(f"wrote run stats to {stats_path}")
+
+
+def _run_grid(
+    args: argparse.Namespace, cells: list, what: str,
+    table: Callable[[SweepResults], str], **csv_options,
+) -> int:
+    """Run a ``sweep`` or ``fleet`` grid and report it; the exit code.
+
+    Rows stream into ``args.out`` as cells complete (in deterministic
+    cell order, so the CSV is byte-identical to a buffered write)
+    instead of holding the whole grid's results before the first row
+    lands; ``csv_options`` pick the writer's columns and flattener.
+    With ``--store`` a journal records completed cells, and Ctrl-C
+    leaves a durable partial CSV (exit 130). Then the run summary,
+    ``--stats-json``, the quarantine report and ``table(results)``.
+    """
+    workers = _resolve_workers(args.workers)
+    store = ResultStore(args.store) if args.store else None
+    journal = _open_journal(args, store)
+    try:
+        with SweepSession(workers=workers, policy=_cell_policy(args)) as session, \
+                StreamingCsvWriter(args.out, **csv_options) as writer:
+            try:
+                results = session.run(
+                    cells,
+                    store=store,
+                    progress=_progress_for(args, len(cells)),
+                    on_result=lambda cell, result, cached: writer.write(
+                        result, spec=cell),
+                    journal=journal,
+                )
+            except KeyboardInterrupt:
+                return _interrupt_summary(args, writer, journal, len(cells), store)
+            count = writer.rows
+    finally:
+        if journal is not None:
+            journal.close()
+    print(
+        f"swept {len(cells)} {what} on {workers} worker(s); "
+        f"{results.cache_hits} cache hit(s)"
+    )
+    print(f"wrote {count} rows to {args.out}")
+    if args.stats_json:
+        _write_stats_json(args, results, len(cells), workers, count,
+                          session.last_run_stats)
+    exit_code = _handle_quarantined(args, results)
+    print(table(results))
+    return exit_code
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -755,39 +803,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (KeyError, ValueError, OSError) as error:
         # OSError: a trace scenario naming a missing/unreadable file.
         raise SystemExit(f"invalid sweep grid: {error}") from None
-    workers = _resolve_workers(args.workers)
-    store = ResultStore(args.store) if args.store else None
-    journal = _open_journal(args, store)
-    # Stream rows as cells complete (in deterministic cell order, so
-    # the CSV is byte-identical to a buffered write) instead of
-    # holding the whole grid's results before the first row lands.
-    try:
-        with SweepSession(workers=workers, policy=_cell_policy(args)) as session, \
-                StreamingCsvWriter(args.out) as writer:
-            try:
-                results = session.run(
-                    spec,
-                    store=store,
-                    progress=_progress_for(args, len(spec)),
-                    on_result=lambda cell, result, cached: writer.write(
-                        result, spec=cell),
-                    journal=journal,
-                )
-            except KeyboardInterrupt:
-                return _interrupt_summary(args, writer, journal, len(spec), store)
-            count = writer.rows
-    finally:
-        if journal is not None:
-            journal.close()
-    print(
-        f"swept {len(spec)} cells on {workers} worker(s); "
-        f"{results.cache_hits} cache hit(s)"
-    )
-    print(f"wrote {count} rows to {args.out}")
-    if args.stats_json:
-        _write_stats_json(args, results, len(spec), workers, count,
-                          run_stats=session.last_run_stats)
-    exit_code = _handle_quarantined(args, results)
+    return _run_grid(args, spec.cells(), "cells", _sweep_table)
+
+
+def _sweep_table(results: SweepResults) -> str:
+    """``sweep``'s summary: one per-seed mean/CI row per grid cell."""
     rows = [
         [
             agg.config,
@@ -800,12 +820,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ]
         for agg in results.aggregate()
     ]
-    print(format_table(
+    return format_table(
         ["config", "workload", "qps", "seeds",
          "power (W)", "mean lat (us)", "PC1A res"],
         rows,
-    ))
-    return exit_code
+    )
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
@@ -883,39 +902,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         )
     except (KeyError, ValueError, OSError) as error:
         raise SystemExit(f"invalid fleet grid: {error}") from None
-    workers = _resolve_workers(args.workers)
-    store = ResultStore(args.store) if args.store else None
-    journal = _open_journal(args, store)
-    try:
-        with SweepSession(workers=workers, policy=_cell_policy(args)) as session, \
-                StreamingCsvWriter(
-                    args.out, columns=FLEET_CSV_COLUMNS,
-                    flatten=flatten_fleet_result
-                ) as writer:
-            try:
-                results = session.run(
-                    spec.cells(),
-                    store=store,
-                    progress=_progress_for(args, len(spec)),
-                    on_result=lambda cell, result, cached: writer.write(
-                        result, spec=cell),
-                    journal=journal,
-                )
-            except KeyboardInterrupt:
-                return _interrupt_summary(args, writer, journal, len(spec), store)
-            count = writer.rows
-    finally:
-        if journal is not None:
-            journal.close()
-    print(
-        f"swept {len(spec)} fleet cells on {workers} worker(s); "
-        f"{results.cache_hits} cache hit(s)"
+    return _run_grid(
+        args, spec.cells(), "fleet cells", _fleet_table,
+        columns=FLEET_CSV_COLUMNS, flatten=flatten_fleet_result,
     )
-    print(f"wrote {count} rows to {args.out}")
-    if args.stats_json:
-        _write_stats_json(args, results, len(spec), workers, count,
-                          run_stats=session.last_run_stats)
-    exit_code = _handle_quarantined(args, results)
+
+
+def _fleet_table(results: SweepResults) -> str:
+    """``fleet``'s summary: one row per fleet cell."""
     rows = [
         [
             result.config_name,
@@ -931,12 +925,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         ]
         for result in results
     ]
-    print(format_table(
+    return format_table(
         ["config", "servers", "routing", "workload", "qps", "seed",
          "fleet power", "p99", "PC1A res", "active"],
         rows,
-    ))
-    return exit_code
+    )
 
 
 def cmd_control(args: argparse.Namespace) -> int:

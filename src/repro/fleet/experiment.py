@@ -11,6 +11,7 @@ distribution.
 
 from __future__ import annotations
 
+from repro.cell import measure_window
 from repro.fleet.cluster import ClusterConfig, FleetMachine
 from repro.fleet.result import FleetResult, ServerResult
 from repro.server.stats import summarize_latency_ns
@@ -29,12 +30,10 @@ def run_fleet_experiment(
     """Run ``workload`` against ``cluster`` and measure one window.
 
     The classic driver, kept as a thin wrapper over
-    :func:`repro.api.measure_window`; anything starting from a
+    :func:`repro.cell.measure_window`; anything starting from a
     :class:`~repro.fleet.spec.FleetCell` should prefer
-    :func:`repro.api.run_cell`.
+    :func:`repro.cell.run_cell`.
     """
-    from repro.api import measure_window
-
     if duration_ns <= 0:
         raise ValueError(f"duration must be positive, got {duration_ns}")
     if warmup_ns < 0:

@@ -3,7 +3,7 @@
 A :class:`FleetCell` is the fleet analogue of
 :class:`~repro.sweep.spec.ExperimentSpec`: plain data naming one
 fully-determined cluster measurement. Both implement the
-:class:`repro.api.Cell` protocol, so fleet cells run through the
+:class:`repro.cell.Cell` protocol, so fleet cells run through the
 ordinary :class:`~repro.sweep.session.SweepSession` and inherit the
 whole orchestration stack for free: worker-pool fan-out with
 serial==parallel determinism, warm-fleet recycling, content-hash
@@ -17,6 +17,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
+from repro.cell import run_cell
 from repro.fleet.cluster import ClusterConfig, FleetMachine
 from repro.fleet.result import FleetResult
 from repro.props import resolve_config
@@ -114,7 +115,7 @@ class FleetCell:
 
         return scenarios.build(self.scenario, self.qps, self.preset)
 
-    # -- cell protocol (repro.api) -----------------------------------------
+    # -- cell protocol (repro.cell) ----------------------------------------
     def build(self) -> FleetMachine:
         """Construct a fresh fleet for this cell."""
         return FleetMachine(self.cluster(), seed=self.seed)
@@ -153,10 +154,8 @@ class FleetCell:
         """Run this cell from scratch.
 
         Deprecated: this predates the unified cell protocol — prefer
-        :func:`repro.api.run_cell`, which this now wraps.
+        :func:`repro.cell.run_cell`, which this now wraps.
         """
-        from repro.api import run_cell
-
         result: FleetResult = run_cell(self)
         return result
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cell import measure_window
 from repro.server.configs import MachineConfig
 from repro.server.machine import ServerMachine
 from repro.server.stats import LatencySummary, MachineStats
@@ -83,11 +84,9 @@ def run_experiment(
     """Run ``workload`` on ``config`` and measure one window.
 
     The classic driver, kept as a thin wrapper over
-    :func:`repro.api.measure_window`; anything starting from a spec
-    should prefer :func:`repro.api.run_cell`.
+    :func:`repro.cell.measure_window`; anything starting from a spec
+    should prefer :func:`repro.cell.run_cell`.
     """
-    from repro.api import measure_window
-
     if duration_ns <= 0:
         raise ValueError(f"duration must be positive, got {duration_ns}")
     if warmup_ns < 0:

@@ -111,7 +111,7 @@ def aggregate_over_seeds(
     )
     if len(labels) != len(results):
         raise ValueError(f"{len(results)} results but {len(labels)} cells")
-    # Explicit cell lists may repeat a physical cell (the runner
+    # Explicit cell lists may repeat a physical cell (the session
     # simulates it once and returns it per cell); counting the shared
     # result once per repeat would inflate n and shrink the CI.
     seen_keys: set = set()

@@ -17,7 +17,10 @@ charge fixed costs that rival the simulation time of an idle cell.
   transient cell failures are retried under the session's
   :class:`~repro.sweep.supervisor.CellPolicy` and — past the retry
   budget — quarantined, letting the sweep degrade gracefully to
-  completion instead of aborting (see ``docs/robustness.md``);
+  completion instead of aborting (see ``docs/robustness.md``).
+  ``workers=1`` runs cells in-process instead, charging failures to
+  the same :class:`~repro.sweep.supervisor.RetryLedger`, so both
+  paths retry, quarantine and count identically;
 * **warm runtimes** — each worker keeps one runtime per cell
   warm-slot and recycles it (``ServerMachine.recycle`` /
   ``FleetMachine.recycle``) instead of rebuilding the component graph
@@ -49,18 +52,21 @@ import traceback
 from time import perf_counter, process_time, sleep
 from typing import Callable, Sequence
 
+from repro.cell import run_cell
 from repro.server.experiment import ExperimentResult
 from repro.server.recycle import CheckpointError
 from repro.sweep import chaos
+from repro.sweep.aggregate import CellAggregate, aggregate_over_seeds
 from repro.sweep.spec import ExperimentSpec, SweepSpec
-from repro.sweep.store import ResultStore
+from repro.sweep.store import ResultStore, write_csv
 from repro.sweep.supervisor import (
     KIND_ERROR,
-    AttemptFailure,
     CellPolicy,
     QuarantinedCell,
     QuarantineExhausted,
+    RetryLedger,
     SweepSupervisor,
+    zero_fault_stats,
 )
 
 
@@ -73,6 +79,98 @@ class SweepCellError(RuntimeError):
     """
 
 
+def default_workers() -> int:
+    """Worker count honouring the ``REPRO_SWEEP_WORKERS`` override.
+
+    Like the CLI's ``--workers``, a value of 0 (or unset) means one
+    worker per core.
+    """
+    override = os.environ.get("REPRO_SWEEP_WORKERS")
+    if override:
+        try:
+            count = int(override)
+        except ValueError:
+            raise ValueError(
+                f"REPRO_SWEEP_WORKERS must be an integer, got {override!r}"
+            ) from None
+        if count < 0:
+            raise ValueError(f"REPRO_SWEEP_WORKERS must be >= 0, got {count}")
+        if count > 0:
+            return count
+    return max(1, os.cpu_count() or 1)
+
+
+class SweepResults:
+    """Ordered results of one sweep run, with cell-wise lookup.
+
+    ``cells`` and ``results`` are aligned and cover the cells that
+    *completed*; cells that exhausted their retry budget under the
+    session's :class:`~repro.sweep.supervisor.CellPolicy` appear on
+    ``quarantined`` (as
+    :class:`~repro.sweep.supervisor.QuarantinedCell` records, with
+    their label and per-attempt failure history) instead.
+    """
+
+    def __init__(
+        self,
+        cells: Sequence[ExperimentSpec],
+        results: Sequence[ExperimentResult],
+        cache_hits: int = 0,
+        quarantined: Sequence | None = None,
+    ):
+        self.cells = list(cells)
+        self.results = list(results)
+        self.cache_hits = cache_hits
+        self.quarantined = list(quarantined) if quarantined is not None else []
+
+    def __iter__(self):
+        return iter(self.results)
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def select(self, **criteria) -> list[ExperimentResult]:
+        """Results whose cell matches every criterion.
+
+        Criteria name cell fields — :class:`ExperimentSpec` fields for
+        ordinary sweeps (e.g. ``select(config="CPC1A", qps=4000)``),
+        fleet-cell fields (``routing``, ``n_servers``) for fleet runs.
+        """
+        cell_type = type(self.cells[0]) if self.cells else ExperimentSpec
+        fields = getattr(
+            cell_type, "__dataclass_fields__", ExperimentSpec.__dataclass_fields__
+        )
+        unknown = [name for name in criteria if name not in fields]
+        if unknown:
+            raise TypeError(
+                f"unknown selection criteria {unknown}; "
+                f"cells have {sorted(fields)}"
+            )
+        matches = []
+        for cell, result in zip(self.cells, self.results):
+            if all(getattr(cell, name) == value for name, value in criteria.items()):
+                matches.append(result)
+        return matches
+
+    def one(self, **criteria) -> ExperimentResult:
+        """The unique result matching the criteria (raises otherwise)."""
+        matches = self.select(**criteria)
+        if len(matches) != 1:
+            raise LookupError(
+                f"expected exactly one cell matching {criteria}, "
+                f"found {len(matches)}"
+            )
+        return matches[0]
+
+    def aggregate(self) -> list[CellAggregate]:
+        """Per-seed aggregation (mean/CI) of every grid cell."""
+        return aggregate_over_seeds(self.results, cells=self.cells)
+
+    def write_csv(self, path, columns: tuple[str, ...] | None = None) -> int:
+        """Write every cell as a CSV row (spec labels included)."""
+        return write_csv(path, self.results, columns=columns, cells=self.cells)
+
+
 def recycling_enabled() -> bool:
     """Whether workers reuse machines (``REPRO_SWEEP_RECYCLE`` != 0)."""
     return os.environ.get("REPRO_SWEEP_RECYCLE", "1") != "0"
@@ -81,7 +179,7 @@ def recycling_enabled() -> bool:
 # -- per-process worker state -------------------------------------------------
 #: One warm runtime per cell warm-slot (``None`` marks a slot whose
 #: state cannot be checkpointed: build fresh every time). A slot is
-#: whatever :meth:`repro.api.Cell.warm_slot` returns — (config name,
+#: whatever :meth:`repro.cell.Cell.warm_slot` returns — (config name,
 #: property overrides) for single-machine cells, a ``"fleet"``-tagged
 #: server lineup for fleet cells — so two cells sharing a base config
 #: but differing in overrides are different runtimes. Lives at module
@@ -114,7 +212,7 @@ def _worker_store(root: str) -> ResultStore:
 def _runtime_for(spec):
     """A runtime for ``spec``: recycled when possible, else fresh.
 
-    Works for any :class:`repro.api.Cell` — the cell supplies its
+    Works for any :class:`repro.cell.Cell` — the cell supplies its
     construction (``build``), its warm-cache key (``warm_slot``) and
     its restore step (``recycle``); this function only owns the cache
     policy.
@@ -159,7 +257,12 @@ _HIT, _STORED, _FRESH = "hit", "stored", "fresh"
 
 
 def _cell_label(spec) -> str:
-    """A human-readable cell name that never raises (quarantine reports)."""
+    """A human-readable cell name that never raises.
+
+    ``label()`` validates the workload, which may be the very thing
+    that failed; error messages and quarantine reports must never mask
+    the original error.
+    """
     try:
         return spec.label()
     except Exception:
@@ -199,20 +302,9 @@ def _cell_task(payload, attempt: int = 1):
         # wall clock charges descheduled time to whichever cell was
         # in flight, which would garble the build/simulate split.
         build_start = process_time()
-        if hasattr(spec, "collect"):
-            # The cell protocol (repro.api.Cell): every first-party
-            # cell kind — single-machine and fleet — dispatches here,
-            # with warm-runtime reuse for both.
-            from repro.api import run_cell
-
-            runtime = _runtime_for(spec)
-            sim_start = process_time()
-            result = run_cell(spec, runtime=runtime)
-        else:
-            # Legacy self-simulating cells own their whole
-            # build+measure flow; no warm reuse applies.
-            sim_start = build_start
-            result = spec.simulate()
+        runtime = _runtime_for(spec)
+        sim_start = process_time()
+        result = run_cell(spec, runtime=runtime)
         done = process_time()
         if store is not None:
             store.put(key, result, spec=spec)
@@ -221,17 +313,9 @@ def _cell_task(payload, attempt: int = 1):
     except SweepCellError:
         raise
     except Exception as error:
-        try:
-            label = spec.label()
-        except Exception:
-            # label() validates the workload, which may be the very
-            # thing that failed; never mask the original error.
-            label = (
-                f"{spec.config}/{spec.scenario or spec.workload}"
-                f"@{spec.qps:g}/seed{spec.seed}"
-            )
         raise SweepCellError(
-            f"sweep cell {label} failed: {type(error).__name__}: {error}"
+            f"sweep cell {_cell_label(spec)} failed: "
+            f"{type(error).__name__}: {error}"
         ) from error
 
 
@@ -244,8 +328,10 @@ class SweepSession:
         Fleet size; ``None`` uses :func:`default_workers` (one per
         core, ``REPRO_SWEEP_WORKERS`` override). 1 runs serially
         in-process — with the same warm-machine reuse and the same
-        retry/quarantine policy (minus deadlines: there is no second
-        process to do the killing).
+        retry ledger (minus deadlines: there is no second process to
+        do the killing). Larger sessions supervise every run; only a
+        lone pending cell under a policy without a deadline runs
+        in-process.
     store:
         Default result store for runs that do not pass their own.
     policy:
@@ -256,8 +342,6 @@ class SweepSession:
     def __init__(self, workers: int | None = None, store=None,
                  policy: CellPolicy | None = None):
         if workers is None:
-            from repro.sweep.runner import default_workers
-
             workers = default_workers()
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -267,7 +351,6 @@ class SweepSession:
         self._supervisor: SweepSupervisor | None = None
         self._last_parallelism = 1
         self._closed = False
-        self._serial_faults = {"retries": 0, "quarantined": 0}
         #: Accounting for the most recent :meth:`run` (consumed by the
         #: sweep throughput bench and ``--stats-json``): build/simulate
         #: split, dispatch counts, wall time, fault counters.
@@ -343,8 +426,6 @@ class SweepSession:
         were already journaled before this run are surfaced as
         ``journal_skipped`` — the ``--resume`` accounting.
         """
-        from repro.sweep.runner import SweepResults
-
         if self._closed:
             raise RuntimeError("session is closed")
         if store is None:
@@ -408,14 +489,12 @@ class SweepSession:
         worker_hits = 0
         simulated = 0
         self._last_parallelism = 1
-        self._serial_faults = {"retries": 0, "quarantined": 0}
-        if self._supervisor is not None:
-            # Fault counters are per-run in last_run_stats.
-            self._supervisor.stats = SweepSupervisor._zero_stats()
+        # One fault-counter dict per run, charged by both paths.
+        ledger = RetryLedger(policy, zero_fault_stats())
         store_root = (str(store.root) if isinstance(store, ResultStore) else None)
         try:
             for tag, body in self._execute(
-                pending, store_root, progress, pending_by_key
+                pending, store_root, progress, pending_by_key, ledger
             ):
                 if tag == "quarantined":
                     quarantined.append(body)
@@ -434,7 +513,7 @@ class SweepSession:
                     if result is None:  # racing deletion/corruption
                         cell = pending_by_key[key]
                         tag, body = self._run_serial_cell(
-                            cell, (cell, None), policy
+                            cell, (cell, None), ledger
                         )
                         if tag == "quarantined":
                             quarantined.append(body)
@@ -464,11 +543,6 @@ class SweepSession:
             else cells
         )
         ordered = [by_key[cell.key()] for cell in completed_cells]
-        faults = SweepSupervisor._zero_stats()
-        if self._supervisor is not None:
-            faults.update(self._supervisor.stats)
-        faults["retries"] += self._serial_faults["retries"]
-        faults["quarantined"] += self._serial_faults["quarantined"]
         self.last_run_stats = {
             "cells": len(cells),
             "unique_cells": len(by_key) + len(quarantined_keys),
@@ -483,7 +557,7 @@ class SweepSession:
             "build_s": build_s,
             "simulate_s": simulate_s,
             "wall_s": perf_counter() - wall_start,
-            **faults,
+            **ledger.stats,
         }
         return SweepResults(
             completed_cells,
@@ -492,55 +566,47 @@ class SweepSession:
             quarantined=quarantined,
         )
 
-    def _run_serial_cell(self, cell, payload, policy: CellPolicy):
-        """Run one cell in-process under the retry/quarantine policy.
+    def _run_serial_cell(self, cell, payload, ledger: RetryLedger):
+        """Run one cell in-process, charging failures to ``ledger``.
 
-        Mirrors the supervised path for ``workers=1`` (and for the
-        parent-side fallback re-simulation), except that deadlines are
-        not enforced — there is no second process to kill a stuck
-        cell from.
+        The serial half of the retry state machine (``workers=1``, and
+        the parent-side re-simulation of a record lost after a worker
+        store hit); no deadline applies — there is no second process
+        to kill a stuck cell from.
         """
-        failures: list[AttemptFailure] = []
         attempt = 1
         while True:
             start = perf_counter()
             try:
                 return "done", _cell_task(payload, attempt)
             except Exception as error:
-                if policy.on_exhausted == "raise" and attempt > policy.max_retries:
-                    raise
-                detail = (
-                    f"{type(error).__name__}: {error}\n{traceback.format_exc()}"
+                quarantined = ledger.fail(
+                    cell.key(), _cell_label(cell), attempt, KIND_ERROR,
+                    f"{type(error).__name__}: {error}\n{traceback.format_exc()}",
+                    None, perf_counter() - start,
                 )
-                failures.append(
-                    AttemptFailure(
-                        attempt, KIND_ERROR, detail, None,
-                        perf_counter() - start,
-                    )
-                )
-                if attempt > policy.max_retries:
-                    self._serial_faults["quarantined"] += 1
-                    return "quarantined", QuarantinedCell(
-                        cell.key(), _cell_label(cell), failures
-                    )
-                self._serial_faults["retries"] += 1
-                backoff = policy.backoff_for(attempt)
-                if backoff > 0:
-                    sleep(backoff)
-                attempt += 1
+            if quarantined is not None:
+                return "quarantined", quarantined
+            sleep(self.policy.backoff_for(attempt))
+            attempt += 1
 
-    def _execute(self, pending, store_root, progress, pending_by_key):
+    def _execute(self, pending, store_root, progress, pending_by_key, ledger):
         """Yield ("done", task-tuple) / ("quarantined", cell) events."""
         if not pending:
             return
         payloads = [(cell, store_root) for cell in pending]
-        if self.workers == 1 or len(pending) == 1:
+        # A lone cell skips the fleet, unless a deadline needs a
+        # second process to enforce it.
+        if self.workers == 1 or (
+            len(pending) == 1 and self.policy.deadline_s is None
+        ):
             for cell, payload in zip(pending, payloads):
                 if progress is not None:
                     progress(cell)
-                yield self._run_serial_cell(cell, payload, self.policy)
+                yield self._run_serial_cell(cell, payload, ledger)
             return
         supervisor = self._ensure_supervisor(len(pending))
+        supervisor.stats = ledger.stats
         self._last_parallelism = min(supervisor.size, len(pending))
         items = [
             (cell.key(), _cell_label(cell), payload)

@@ -376,7 +376,7 @@ class ExperimentSpec:
         """
         return resolve_config(self.config, self.props).props
 
-    # -- cell protocol (repro.api) -----------------------------------------
+    # -- cell protocol (repro.cell) ----------------------------------------
     def build(self) -> "ServerMachine":
         """Construct a fresh machine for this cell."""
         from repro.server.machine import ServerMachine
@@ -434,7 +434,7 @@ class ExperimentSpec:
         ``config="Cshallow", props=(("package_policy", "pc1a"),)``
         hash identically (schema v3).
 
-        The hash is cached on the (frozen) cell: the runner consults
+        The hash is cached on the (frozen) cell: the session consults
         it several times per cell — cache pre-pass, worker dispatch,
         deterministic reordering — and hashing dominates the
         orchestration cost of very short cells. For trace cells this
@@ -542,7 +542,7 @@ class SweepSpec:
         """Expand the grid into its experiment cells.
 
         The expansion is cached (the spec is frozen), so validation
-        in ``__post_init__`` and the runner share one pass.
+        in ``__post_init__`` and the session share one pass.
         """
         cached = getattr(self, "_expanded", None)
         if cached is None:

@@ -62,16 +62,18 @@ KIND_DEADLINE = "deadline"  # the supervisor killed a stuck cell
 
 @dataclass(frozen=True)
 class CellPolicy:
-    """Retry/deadline/quarantine policy for supervised cells.
+    """Retry/deadline/quarantine policy for sweep cells.
 
-    ``max_retries`` counts *extra* attempts after the first: the
-    default 3 means a cell may run up to 4 times before quarantine.
-    ``retry_backoff_s`` doubles per failed attempt. ``deadline_s`` is
-    the per-attempt wall-clock budget (``None`` disables the
-    watchdog; serial in-process runs never enforce it — there is no
-    second process to do the killing). ``on_exhausted`` selects
-    graceful degradation (``"quarantine"``, the default) or the
-    legacy abort (``"raise"``).
+    Supervised and serial in-process runs apply it through one
+    :class:`RetryLedger`. ``max_retries`` counts *extra* attempts
+    after the first: the default 3 means a cell may run up to 4 times
+    before quarantine. ``retry_backoff_s`` doubles per failed attempt.
+    ``deadline_s`` is the per-attempt wall-clock budget (``None``
+    disables the watchdog). Multi-worker sessions enforce it on every
+    run, a lone pending cell included; ``workers=1`` runs cells
+    in-process and cannot (there is no second process to do the
+    killing). ``on_exhausted`` selects graceful degradation
+    (``"quarantine"``, the default) or the legacy abort (``"raise"``).
     """
 
     max_retries: int = 3
@@ -156,6 +158,64 @@ class QuarantineExhausted(RuntimeError):
             f"sweep cell {cell.label} failed {len(cell.failures)} "
             f"attempt(s); last failure: {last.strip().splitlines()[-1]}"
         )
+
+
+def zero_fault_stats() -> dict[str, int]:
+    """A fresh fault-counter dict (one per run; see ``SweepSession``)."""
+    return {
+        "retries": 0,
+        "requeues": 0,
+        "deadline_kills": 0,
+        "worker_deaths": 0,
+        "respawns": 0,
+        "quarantined": 0,
+        "garbled_messages": 0,
+    }
+
+
+class RetryLedger:
+    """Per-run attempt histories: the one retry/quarantine state machine.
+
+    Both execution paths charge every failed attempt here — the
+    supervisor's dispatch loop (errors, worker deaths, deadline kills)
+    and the session's in-process serial loop (errors) — so they apply
+    :class:`CellPolicy` identically and count into the same ``stats``
+    dict. The caller only schedules the retry.
+    """
+
+    def __init__(self, policy: CellPolicy, stats: dict[str, int]):
+        self.policy = policy
+        self.stats = stats
+        self._failures: dict[str, list[AttemptFailure]] = {}
+
+    def fail(
+        self,
+        key: str,
+        label: str,
+        attempt: int,
+        kind: str,
+        detail: str,
+        pid: int | None,
+        elapsed: float,
+    ) -> QuarantinedCell | None:
+        """Record failed attempt ``attempt`` of ``key``.
+
+        Returns None when the cell may retry, or its
+        :class:`QuarantinedCell` record once the budget is exhausted
+        (raising :class:`QuarantineExhausted` instead under
+        ``on_exhausted="raise"``).
+        """
+        self._failures.setdefault(key, []).append(
+            AttemptFailure(attempt, kind, detail, pid, elapsed)
+        )
+        if attempt <= self.policy.max_retries:
+            self.stats["retries" if kind == KIND_ERROR else "requeues"] += 1
+            return None
+        cell = QuarantinedCell(key, label, self._failures.pop(key))
+        self.stats["quarantined"] += 1
+        if self.policy.on_exhausted == "raise":
+            raise QuarantineExhausted(cell)
+        return cell
 
 
 def _worker_main(
@@ -335,20 +395,8 @@ class SweepSupervisor:
         #: (bounds the free requeues a poison result can earn).
         self._lost: dict[str, int] = {}
         self._closed = False
-        #: Lifetime fault counters (reset per run by the session).
-        self.stats = self._zero_stats()
-
-    @staticmethod
-    def _zero_stats() -> dict[str, int]:
-        return {
-            "retries": 0,
-            "requeues": 0,
-            "deadline_kills": 0,
-            "worker_deaths": 0,
-            "respawns": 0,
-            "quarantined": 0,
-            "garbled_messages": 0,
-        }
+        #: Fault counters; a session swaps in its run's dict per run.
+        self.stats = zero_fault_stats()
 
     # -- fleet management ------------------------------------------------
     def grow_to(self, workers: int) -> None:
@@ -496,7 +544,7 @@ class SweepSupervisor:
         retry_heap: list[tuple[float, int, tuple[str, str, Any, int]]] = []
         retry_seq = 0
         self._lost = {}
-        failures: dict[str, list[AttemptFailure]] = {}
+        ledger = RetryLedger(policy, self.stats)
         settled: set[str] = set()  # completed or quarantined
         done = 0
         last_sweep = 0.0
@@ -509,25 +557,17 @@ class SweepSupervisor:
             pid: int | None,
             elapsed: float,
         ) -> QuarantinedCell | None:
-            """Record a failed attempt; requeue or quarantine."""
+            """Charge a failed attempt; schedule the retry, if any."""
             nonlocal retry_seq
             key, label, payload, attempt = item
-            failures.setdefault(key, []).append(
-                AttemptFailure(attempt, kind, detail, pid, elapsed)
-            )
-            if attempt > policy.max_retries:
-                cell = QuarantinedCell(key, label, failures.pop(key))
-                self.stats["quarantined"] += 1
-                if policy.on_exhausted == "raise":
-                    raise QuarantineExhausted(cell)
-                return cell
-            self.stats["retries" if kind == KIND_ERROR else "requeues"] += 1
-            ready = time.monotonic() + policy.backoff_for(attempt)
-            retry_seq += 1
-            heapq.heappush(
-                retry_heap, (ready, retry_seq, (key, label, payload, attempt + 1))
-            )
-            return None
+            quarantined = ledger.fail(key, label, attempt, kind, detail, pid, elapsed)
+            if quarantined is None:
+                ready = time.monotonic() + policy.backoff_for(attempt)
+                retry_seq += 1
+                heapq.heappush(
+                    retry_heap, (ready, retry_seq, (key, label, payload, attempt + 1))
+                )
+            return quarantined
 
         # NB: a consumer bailing out mid-run (exception in on_result,
         # KeyboardInterrupt) leaves workers crunching stale cells;

@@ -3,8 +3,10 @@ fast path's conservation laws, and the unified cell protocol."""
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +236,44 @@ class TestCellProtocol:
     def test_simulate_shim_still_works(self):
         cell = diurnal_cell(n_servers=2)
         assert cell.simulate() == run_cell(cell)
+
+
+def imports_of(path: Path) -> set[str]:
+    """Every module an AST imports, at any depth (``from repro import
+    api`` counts as ``repro.api``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestApiLayering:
+    """``repro.api`` is a facade at the top of the import graph; the
+    cell lifecycle it re-exports sits at the bottom."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+    def test_no_module_imports_the_facade(self):
+        offenders = [
+            str(path.relative_to(self.SRC))
+            for path in sorted(self.SRC.rglob("*.py"))
+            if path.name != "api.py" and "repro.api" in imports_of(path)
+        ]
+        assert offenders == []
+
+    def test_cell_module_is_a_leaf(self):
+        imported = imports_of(self.SRC / "cell.py")
+        assert [name for name in imported if name.startswith("repro")] == []
+
+    def test_facade_is_plain_imports(self):
+        import repro.api
+        import repro.cell
+        import repro.sweep.session
+
+        assert "__getattr__" not in vars(repro.api)
+        assert repro.api.SweepSession is repro.sweep.session.SweepSession
+        assert repro.api.run_cell is repro.cell.run_cell

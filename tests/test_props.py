@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+from repro.api import run_cell
 from repro.cli import main as cli_main
 from repro.fleet.routing import ROUTING_POLICIES
 from repro.props import (
@@ -40,7 +41,6 @@ from repro.sweep import (
     memcached_points,
     merge_props,
     normalize_props,
-    run_cell,
 )
 from repro.units import MS
 

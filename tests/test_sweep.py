@@ -1,4 +1,4 @@
-"""The sweep-orchestration subsystem: specs, store, runner, aggregation."""
+"""The sweep-orchestration subsystem: specs, store, session, aggregation."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import FleetCell
+from repro.api import FleetCell, run_cell
 from repro.cli import main as cli_main
 from repro.props import PropertySet, preset_props
 from repro.server.stats import EMPTY_SUMMARY
@@ -20,7 +20,7 @@ from repro.sweep import (
     MemoryStore,
     MetricStats,
     ResultStore,
-    SweepRunner,
+    SweepSession,
     SweepSpec,
     WorkloadPoint,
     aggregate_over_seeds,
@@ -30,7 +30,6 @@ from repro.sweep import (
     preset_points,
     result_from_dict,
     result_to_dict,
-    run_cell,
     warmup_for_duration,
 )
 from repro.tracing.socwatch import OpportunityEstimate
@@ -309,10 +308,8 @@ class TestRecordLayout:
         assert record == old_record
 
     def test_fleet_record_reads_back_unchanged(self, tmp_path):
-        from repro.api import run_cell as run_any_cell
-
         cell = pinned_cells()["fleet_hybrid"]
-        result = run_any_cell(cell)
+        result = run_cell(cell)
         store = ResultStore(tmp_path / "cache")
         store.put(cell.key(), result, spec=cell)
         loaded = store.get(cell.key())
@@ -368,8 +365,10 @@ class TestRunner:
             configs=("CPC1A",),
             seeds=(1, 2),
         )
-        serial = SweepRunner(spec, workers=1).run()
-        parallel = SweepRunner(spec, workers=2).run()
+        with SweepSession(workers=1) as session:
+            serial = session.run(spec)
+        with SweepSession(workers=2) as session:
+            parallel = session.run(spec)
         assert serial.results == parallel.results
 
     def test_store_turns_reruns_into_cache_hits(self):
@@ -378,16 +377,18 @@ class TestRunner:
             configs=("Cshallow", "CPC1A"),
         )
         store = MemoryStore()
-        first = SweepRunner(spec, store=store).run()
-        assert first.cache_hits == 0
-        second = SweepRunner(spec, store=store).run()
+        with SweepSession(workers=1, store=store) as session:
+            first = session.run(spec)
+            assert first.cache_hits == 0
+            second = session.run(spec)
         assert second.cache_hits == len(spec)
         assert second.results == first.results
 
     def test_duplicate_cells_simulated_once(self):
         cell = tiny_cell()
         store = MemoryStore()
-        results = SweepRunner([cell, cell], store=store).run()
+        with SweepSession(workers=1, store=store) as session:
+            results = session.run([cell, cell])
         assert len(results) == 2
         assert results.results[0] == results.results[1]
         assert len(store) == 1
@@ -403,7 +404,8 @@ class TestRunner:
             ),
             configs=("Cshallow", "CPC1A"),
         )
-        results = SweepRunner(spec).run()
+        with SweepSession(workers=1) as session:
+            results = session.run(spec)
         assert len(results.select(config="CPC1A")) == 1
         assert results.one(config="CPC1A").config_name == "CPC1A"
         with pytest.raises(LookupError):
@@ -413,7 +415,7 @@ class TestRunner:
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
-            SweepRunner([tiny_cell()], workers=0)
+            SweepSession(workers=0)
 
 
 def _synthetic_result(

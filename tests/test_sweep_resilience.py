@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import run_cell
 from repro.sweep import (
     ExperimentSpec,
     ResultStore,
@@ -368,8 +369,6 @@ class TestStoreRobustness:
     def put_one(self, tmp_path, seed=1):
         store = ResultStore(tmp_path / "cache")
         spec = small_spec(seed)
-        from repro.sweep import run_cell
-
         result = run_cell(spec)
         store.put(spec.key(), result, spec=spec)
         return store, spec, result
@@ -424,8 +423,6 @@ class TestStoreRobustness:
     def test_verify_reports_and_quarantines(self, tmp_path):
         store, spec, _result = self.put_one(tmp_path, seed=1)
         store2, spec2, _result2 = store, small_spec(2), None
-        from repro.sweep import run_cell
-
         store.put(spec2.key(), run_cell(spec2), spec=spec2)
         path = self.record_path(store, spec)
         blob = path.read_text()
@@ -452,8 +449,6 @@ class TestStoreRobustness:
     def test_chaos_torn_write_is_self_healing(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "cache")
         spec = small_spec()
-        from repro.sweep import run_cell
-
         result = run_cell(spec)
         monkeypatch.setenv(chaos.ENV_VAR, "seed=1,torn=1")
         store.put(spec.key(), result, spec=spec)
@@ -502,6 +497,90 @@ class TestChaosSweepIdentity:
         ]
         faults = stats["worker_deaths"] + stats["retries"] + stats["requeues"]
         assert faults > 0, f"chaos injected nothing: {stats}"
+
+
+def parity_grid():
+    points = (
+        WorkloadPoint("idle"),
+        WorkloadPoint("memcached", qps=20_000.0),
+    )
+    return SweepSpec(
+        points, configs=("Cshallow", "CPC1A"), seeds=(1, 2, 3),
+        duration_ns=2 * MS, warmup_ns=1 * MS,
+    )
+
+
+def run_outcome(workers, policy):
+    """A run's completed cells, results, quarantine records and counters."""
+    with SweepSession(workers=workers, policy=policy) as session:
+        results = session.run(parity_grid())
+        stats = session.last_run_stats
+    quarantined = sorted(
+        (cell.key, [(f.attempt, f.kind) for f in cell.failures])
+        for cell in results.quarantined
+    )
+    counters = {k: stats[k] for k in ("retries", "requeues", "quarantined")}
+    return (
+        [cell.key() for cell in results.cells],
+        [result_to_dict(result) for result in results.results],
+        quarantined,
+        counters,
+    )
+
+
+class TestSerialSupervisedParity:
+    """Serial and supervised runs share one retry ledger, so the same
+    injected faults give the same outcome on both paths."""
+
+    CHAOS = "seed=3,fault=0.4"
+
+    def test_exhausted_cells_quarantine_alike(self, monkeypatch):
+        monkeypatch.setenv(chaos.ENV_VAR, self.CHAOS)
+        policy = CellPolicy(max_retries=0, retry_backoff_s=0.0)
+        serial = run_outcome(1, policy)
+        supervised = run_outcome(2, policy)
+        assert serial == supervised
+        cells, _results, quarantined, counters = serial
+        assert len(quarantined) >= 1, "chaos injected nothing"
+        assert len(cells) + len(quarantined) == len(parity_grid())
+        assert all(kinds == [(1, KIND_ERROR)] for _key, kinds in quarantined)
+        assert counters == {
+            "retries": 0, "requeues": 0, "quarantined": len(quarantined),
+        }
+
+    def test_retried_cells_complete_alike(self, monkeypatch):
+        monkeypatch.setenv(chaos.ENV_VAR, self.CHAOS)
+        policy = CellPolicy(max_retries=1, retry_backoff_s=0.0)
+        serial = run_outcome(1, policy)
+        supervised = run_outcome(2, policy)
+        assert serial == supervised
+        cells, _results, quarantined, counters = serial
+        assert quarantined == []
+        assert len(cells) == len(parity_grid())
+        assert counters["retries"] >= 1
+        assert counters["requeues"] == counters["quarantined"] == 0
+
+    def test_lone_cell_honours_the_deadline(self, monkeypatch):
+        """One pending cell on a multi-worker session still runs
+        supervised when a deadline is set: in-process, nothing could
+        kill it."""
+        monkeypatch.setenv(chaos.ENV_VAR, "seed=1,stall=1,stall_s=3")
+        policy = CellPolicy(
+            max_retries=0, retry_backoff_s=0.0, deadline_s=0.5,
+            respawn_backoff_s=0.01,
+        )
+        spec = SweepSpec(
+            (WorkloadPoint("idle"),), configs=("CPC1A",), seeds=(1,),
+            duration_ns=2 * MS, warmup_ns=1 * MS,
+        )
+        with SweepSession(workers=2, policy=policy) as session:
+            results = session.run(spec)
+            stats = session.last_run_stats
+        assert len(results) == 0
+        ((cell,),) = [results.quarantined]
+        assert [f.kind for f in cell.failures] == [KIND_DEADLINE]
+        assert stats["deadline_kills"] == 1
+        assert stats["quarantined"] == 1
 
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")

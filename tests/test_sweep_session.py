@@ -16,6 +16,7 @@ from types import MappingProxyType
 
 import pytest
 
+from repro.api import run_cell
 from repro.scenarios import registry as scenarios
 from repro.server.configs import MachineConfig, config_by_name
 from repro.server.experiment import run_experiment
@@ -28,7 +29,6 @@ from repro.sweep import (
     ResultStore,
     StreamingCsvWriter,
     SweepCellError,
-    SweepRunner,
     SweepSession,
     SweepSpec,
     WorkloadPoint,
@@ -297,8 +297,6 @@ class TestWalkerLeaves:
 
 class TestRecordPayload:
     def test_payload_equals_asdict_for_every_scenario(self):
-        from repro.api import run_cell
-
         for name in scenarios.scenario_names():
             qps, preset = scenario_point(name)
             cell = ExperimentSpec(
@@ -333,9 +331,9 @@ class TestSweepSession:
         with SweepSession(workers=1) as serial, SweepSession(workers=2) as parallel:
             serial_results = serial.run(spec)
             parallel_results = parallel.run(spec)
-        runner_results = SweepRunner(spec, workers=1).run()
+        fresh_results = [run_cell(cell) for cell in spec.cells()]
         assert serial_results.results == parallel_results.results
-        assert serial_results.results == runner_results.results
+        assert serial_results.results == fresh_results
 
     def test_session_reuse_across_runs(self):
         spec = short_grid()
@@ -488,12 +486,12 @@ class TestWorkerStoreShortCircuit:
 
 class TestWorkerExceptions:
     def test_failure_names_the_cell(self, monkeypatch):
-        import repro.api as api_module
+        import repro.sweep.session as session_module
 
         def boom(*args, **kwargs):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(api_module, "run_cell", boom)
+        monkeypatch.setattr(session_module, "run_cell", boom)
         spec = short_grid(rates=(0,), configs=("CPC1A",), seeds=(5,))
         policy = CellPolicy(max_retries=0, on_exhausted="raise")
         with SweepSession(workers=1, policy=policy) as session:
@@ -501,12 +499,12 @@ class TestWorkerExceptions:
                 session.run(spec)
 
     def test_wrapped_error_keeps_original_message(self, monkeypatch):
-        import repro.api as api_module
+        import repro.sweep.session as session_module
 
         def boom(*args, **kwargs):
             raise ValueError("the original reason")
 
-        monkeypatch.setattr(api_module, "run_cell", boom)
+        monkeypatch.setattr(session_module, "run_cell", boom)
         policy = CellPolicy(max_retries=0, on_exhausted="raise")
         with SweepSession(workers=1, policy=policy) as session:
             with pytest.raises(SweepCellError, match="the original reason"):
@@ -516,16 +514,16 @@ class TestWorkerExceptions:
         """A deterministically failing cell is quarantined (with its
         label and attempt history) while the rest of the grid
         completes — the sweep degrades instead of aborting."""
-        import repro.api as api_module
+        import repro.sweep.session as session_module
 
-        real_run_cell = api_module.run_cell
+        real_run_cell = session_module.run_cell
 
         def boom_on_seed5(spec, **kwargs):
             if spec.seed == 5:
                 raise RuntimeError("injected failure")
             return real_run_cell(spec, **kwargs)
 
-        monkeypatch.setattr(api_module, "run_cell", boom_on_seed5)
+        monkeypatch.setattr(session_module, "run_cell", boom_on_seed5)
         spec = short_grid(rates=(0,), configs=("CPC1A",), seeds=(1, 5))
         policy = CellPolicy(max_retries=1, retry_backoff_s=0.0)
         with SweepSession(workers=1, policy=policy) as session:
