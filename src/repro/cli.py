@@ -7,7 +7,7 @@ Commands
 ``idle``      Table 1-style idle power across the three configs;
 ``latency``   the PC1A transition-latency decomposition (Sec. 5.5);
 ``area``      the APC area-overhead breakdown (Sec. 5.1-5.3);
-``export``    sweep a rate range and write the observables as CSV;
+``export``    the Figs. 6/7 re-plot CSV over a config x rate grid;
 ``sweep``     run a scenario x config x rate x seed grid in parallel;
 ``fleet``     sweep multi-server clusters (routing x config x rate);
 ``props``     inspect the platform-property registry (list/info);
@@ -29,8 +29,10 @@ both a per-cell CSV and a per-seed mean/CI summary::
         --out results/sweep.csv
 
 Re-running with an unchanged grid is free: every cell is a cache hit.
-``export`` remains the figure-oriented single-seed CSV (same engine
-underneath, fixed column set for re-plotting Figs. 6/7).
+``export`` is the figure-oriented single-seed grid: it runs and
+reports exactly like ``sweep`` (same flags for workers, store,
+``--stats-json`` and robustness, same summary and exit codes) but
+writes the fixed Figs. 6/7 column set, one row per ``--rates`` entry.
 
 Scenarios
 ---------
@@ -53,6 +55,11 @@ them as a first-class sweep axis::
         --set timer_tick_hz=0,100,250 --set cstates.cc1e.enable=on,off
     python -m repro fleet --set fleet.n_servers=2,8 --set governor=menu
 
+On ``fleet`` the cluster flags (``--servers``, ``--routing``,
+``--control``, ``--dispatch-latency-us``, ``--pack-watermark``) are
+the grid's leading axes; a ``--set`` of the same ``fleet.*`` property
+replaces its flag's axis.
+
 ``--stats-json`` writes a machine-readable run summary (cells, cache
 hits/misses, rows, fault counters) for CI assertions.
 ``--progress``/``--no-progress`` controls the throttled per-cell
@@ -61,7 +68,8 @@ progress lines on stderr (default: only when stderr is a TTY; at most
 
 Robustness
 ----------
-Sweeps run on a supervised execution plane (``docs/robustness.md``):
+The three grid commands (``sweep``, ``export``, ``fleet``) run on a
+supervised execution plane (``docs/robustness.md``):
 dead workers respawn, failing cells retry under
 ``--max-retries``/``--retry-backoff``, stuck cells are killed past
 ``--cell-deadline``, and cells that exhaust their budget are
@@ -77,13 +85,12 @@ by crashes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import scenarios as scenario_registry
 from repro.analysis.report import PaperComparison, comparison_table, format_table
@@ -178,7 +185,61 @@ def _progress_for(args: argparse.Namespace, total: int) -> ThrottledProgress | N
     return ThrottledProgress(total) if enabled else None
 
 
-def _add_progress_flag(parser: argparse.ArgumentParser) -> None:
+def _add_run_args(parser: argparse.ArgumentParser, qps: bool = True) -> None:
+    """One experiment's workload, window and seed (run, compare, export)."""
+    parser.add_argument(
+        "--workload", default="memcached", choices=list(workload_names())
+    )
+    if qps:
+        parser.add_argument(
+            "--qps", type=float, default=20_000,
+            help="offered rate (rate-driven scenarios)",
+        )
+    parser.add_argument(
+        "--preset", default="low", help="preset (mysql/kafka) or trace path (replay)"
+    )
+    parser.add_argument("--duration-ms", type=int, default=100)
+    parser.add_argument("--warmup-ms", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_grid_args(
+    parser: argparse.ArgumentParser, configs: str, out: str, workers: int,
+    fleet: bool = False,
+) -> None:
+    """What every grid command (export, sweep, fleet) takes."""
+    parser.add_argument(
+        "--configs", default=configs, help="comma-separated config names"
+    )
+    parser.add_argument(
+        "--rates", default=None,
+        help="comma-separated offered rates (rate scenarios; 0 = idle; "
+             f"default {DEFAULT_RATES})",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=workers,
+        help="worker processes (0 = one per core, REPRO_SWEEP_WORKERS)",
+    )
+    parser.add_argument(
+        "--store", default=None, help="result-cache directory (optional)"
+    )
+    parser.add_argument("--out", default=out)
+    parser.add_argument(
+        "--stats-json", default=None,
+        help="write machine-readable run stats (cells, cache hits) here",
+    )
+    scope_note = (
+        "fleet-scoped names (fleet.*) configure the cluster and replace "
+        "their flag's axis"
+        if fleet
+        else "machine-scoped names only (see 'repro props list')"
+    )
+    parser.add_argument(
+        "--set", action="append", default=[], metavar="NAME=VALUE[,VALUE...]",
+        dest="set_props",
+        help="platform-property override; a comma list of values grids "
+             f"the axis (repeat --set for more properties; {scope_note})",
+    )
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--progress", action="store_true", default=None, dest="progress",
@@ -189,9 +250,6 @@ def _add_progress_flag(parser: argparse.ArgumentParser) -> None:
         "--no-progress", action="store_false", dest="progress",
         help="suppress per-cell progress output",
     )
-
-
-def _add_robustness_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--resume", action="store_true",
         help="skip cells journaled by a previous run of this store "
@@ -215,6 +273,48 @@ def _add_robustness_flags(parser: argparse.ArgumentParser) -> None:
         help="where to write the quarantine report when cells exhaust "
              "their retries (default: <out>.quarantine.json)",
     )
+
+
+def _add_axis_args(parser: argparse.ArgumentParser) -> None:
+    """The scenario, seed and window axes sweep and fleet share."""
+    parser.add_argument(
+        "--workload", default="memcached", choices=list(workload_names())
+    )
+    parser.add_argument(
+        "--scenario", default=None, choices=list(workload_names()),
+        help="sweep a registered scenario on its default grid "
+             "(overrides --workload; see 'repro scenarios list')",
+    )
+    parser.add_argument(
+        "--presets", default=None,
+        help=f"comma-separated presets (mysql/kafka; default {DEFAULT_PRESETS})",
+    )
+    parser.add_argument(
+        "--trace", default=None,
+        help="trace file for --scenario replay (default: bundled example)",
+    )
+    parser.add_argument("--preset", default="low", help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--seeds", default="1", help="comma-separated seeds; >1 adds CI"
+    )
+    parser.add_argument(
+        "--duration-ms", type=int, default=0,
+        help="window per cell (0 = size each window to its rate)",
+    )
+    parser.add_argument(
+        "--warmup-ms", type=int, default=None,
+        help="warmup per cell (default: derived from the window)",
+    )
+
+
+def _csv_list(
+    value: str, flag: str, noun: str, convert: Callable = str
+) -> tuple:
+    """A comma-list flag -> its converted items (blank entries dropped)."""
+    items = tuple(convert(item.strip()) for item in value.split(",") if item.strip())
+    if not items:
+        raise SystemExit(f"{flag} must list at least one {noun}")
+    return items
 
 
 def _cell_policy(args: argparse.Namespace) -> CellPolicy:
@@ -250,17 +350,11 @@ def _open_journal(args: argparse.Namespace, store) -> RunJournal | None:
         raise SystemExit(str(error)) from None
 
 
-def _quarantine_report_path(args: argparse.Namespace) -> Path:
-    if args.quarantine_report:
-        return Path(args.quarantine_report)
-    return Path(f"{args.out}.quarantine.json")
-
-
 def _handle_quarantined(args: argparse.Namespace, results) -> int:
     """Write the quarantine report; nonzero exit when cells were lost."""
     if not results.quarantined:
         return 0
-    report_path = _quarantine_report_path(args)
+    report_path = Path(args.quarantine_report or f"{args.out}.quarantine.json")
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(json.dumps({
         "quarantined": [cell.as_dict() for cell in results.quarantined],
@@ -333,19 +427,13 @@ def summarize(result: ExperimentResult) -> str:
     return format_table(["metric", "value"], rows)
 
 
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workload", default="memcached", choices=list(workload_names())
-    )
-    parser.add_argument(
-        "--qps", type=float, default=20_000, help="offered rate (rate-driven scenarios)"
-    )
-    parser.add_argument(
-        "--preset", default="low", help="preset (mysql/kafka) or trace path (replay)"
-    )
-    parser.add_argument("--duration-ms", type=int, default=100)
-    parser.add_argument("--warmup-ms", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
+def _run_window(args: argparse.Namespace) -> tuple[int, int]:
+    """run/compare's (duration, warmup) in ns, checked before any run."""
+    if args.duration_ms <= 0:
+        raise SystemExit(f"--duration-ms must be positive, got {args.duration_ms}")
+    if args.warmup_ms < 0:
+        raise SystemExit(f"--warmup-ms must be non-negative, got {args.warmup_ms}")
+    return args.duration_ms * MS, args.warmup_ms * MS
 
 
 def _build_cli_workload(args: argparse.Namespace):
@@ -358,25 +446,26 @@ def _build_cli_workload(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    duration_ns, warmup_ns = _run_window(args)
     workload = _build_cli_workload(args)
     result = run_experiment(
         workload, config_by_name(args.config),
-        duration_ns=args.duration_ms * MS, warmup_ns=args.warmup_ms * MS,
-        seed=args.seed,
+        duration_ns=duration_ns, warmup_ns=warmup_ns, seed=args.seed,
     )
     print(summarize(result))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    duration_ns, warmup_ns = _run_window(args)
     _build_cli_workload(args)  # validate before the first full run
     results = {}
     for name in ("Cshallow", "CPC1A"):
         results[name] = run_experiment(
             _build_cli_workload(args),
             config_by_name(name),
-            duration_ns=args.duration_ms * MS,
-            warmup_ns=args.warmup_ms * MS,
+            duration_ns=duration_ns,
+            warmup_ns=warmup_ns,
             seed=args.seed,
         )
     point = savings_between(results["Cshallow"], results["CPC1A"])
@@ -445,20 +534,12 @@ EXPORT_COLUMNS = (
 )
 
 
-def _split_configs(value: str) -> tuple[str, ...]:
-    """--configs -> config names (blank entries dropped)."""
-    configs = tuple(name.strip() for name in value.split(",") if name.strip())
-    if not configs:
-        raise SystemExit("--configs must list at least one config")
-    return configs
-
-
 def _rate_points(args: argparse.Namespace) -> tuple[WorkloadPoint, ...]:
     """--rates -> workload points (rate 0 = the fully idle server)."""
-    rates_csv = args.rates if args.rates is not None else DEFAULT_RATES
-    rates = [float(r) for r in rates_csv.split(",") if r.strip()]
-    if not rates:
-        raise SystemExit("--rates must list at least one rate")
+    rates = _csv_list(
+        args.rates if args.rates is not None else DEFAULT_RATES,
+        "--rates", "rate", float,
+    )
     return tuple(
         WorkloadPoint(
             "idle" if qps == 0 else args.workload, qps=qps, preset=args.preset
@@ -467,13 +548,19 @@ def _rate_points(args: argparse.Namespace) -> tuple[WorkloadPoint, ...]:
     )
 
 
+def _export_row(result: ExperimentResult, spec: ExperimentSpec) -> dict:
+    """``export``'s row: preset workloads keep the CLI rate."""
+    return {**flatten_result(result, spec=spec), "offered_qps": spec.qps}
+
+
 def cmd_export(args: argparse.Namespace) -> int:
     """Sweep offered rates and dump the observables as CSV.
 
     The CSV carries everything needed to re-plot the paper's
     Memcached figures (6 and 7) with external tooling. The grid runs
-    through the sweep session, so ``--workers`` parallelises it and
-    ``--store`` makes re-runs of unchanged cells cache hits.
+    and reports exactly like ``sweep`` (:func:`_run_grid`): workers,
+    store, journal, ``--stats-json``, Ctrl-C, the per-seed summary and
+    the quarantine report (exit 1 when a cell exhausts its retries).
 
     Cells are passed to the session as an explicit list rather than a
     :class:`SweepSpec`: for preset-driven workloads every listed rate
@@ -483,7 +570,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     """
     try:
         points = _rate_points(args)
-        combos = _parse_set_args(args.set_props)
+        combos = _cross(_set_axes(args.set_props))
         cells = [
             ExperimentSpec(
                 workload=point.workload,
@@ -495,52 +582,26 @@ def cmd_export(args: argparse.Namespace) -> int:
                 warmup_ns=args.warmup_ms * MS,
                 props=combo,
             )
-            for config in _split_configs(args.configs)
+            for config in _csv_list(args.configs, "--configs", "config")
             for combo in combos
             for point in points
         ]
-    except (KeyError, ValueError) as error:
+    except (KeyError, ValueError, OSError) as error:
+        # OSError: a replay preset naming a missing/unreadable trace.
         raise SystemExit(f"invalid export grid: {error}") from None
-    workers = _resolve_workers(args.workers)
-    store = ResultStore(args.store) if args.store else None
-    with SweepSession(workers=workers) as session:
-        results = session.run(
-            cells, store=store, progress=_progress_for(args, len(cells))
-        )
-    rows = []
-    for cell, result in zip(results.cells, results.results):
-        row = flatten_result(result)
-        row["offered_qps"] = cell.qps  # preset workloads keep the CLI rate
-        rows.append(row)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as handle:
-        writer = csv.DictWriter(
-            handle, fieldnames=EXPORT_COLUMNS, extrasaction="ignore"
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    if results.cache_hits:
-        # Hits are per unique cell; rows can outnumber them when
-        # several rates label the same physical experiment.
-        unique = len({cell.key() for cell in results.cells})
-        print(f"{results.cache_hits}/{unique} unique cells served from cache")
-    return 0
+    return _run_grid(
+        args, cells, "cells", _sweep_table,
+        columns=EXPORT_COLUMNS, flatten=_export_row,
+    )
 
 
 def _scenario_points(args: argparse.Namespace) -> tuple[WorkloadPoint, ...]:
     """--scenario (+ optional --rates/--presets/--trace) -> points."""
-    rates = None
+    rates = presets = None
     if args.rates is not None:
-        rates = [float(r) for r in args.rates.split(",") if r.strip()]
-        if not rates:
-            raise SystemExit("--rates must list at least one rate")
-    presets = None
+        rates = _csv_list(args.rates, "--rates", "rate", float)
     if args.presets is not None:
-        presets = tuple(p.strip() for p in args.presets.split(",") if p.strip())
-        if not presets:
-            raise SystemExit("--presets must list at least one preset")
+        presets = _csv_list(args.presets, "--presets", "preset")
     points = scenario_registry.sweep_points(
         args.scenario, rates=rates, presets=presets, trace=args.trace
     )
@@ -561,14 +622,14 @@ def _workload_points(args: argparse.Namespace) -> tuple[WorkloadPoint, ...]:
     ``--rates``/``--presets``/``--trace``); otherwise the workload
     name's kind decides which knob applies.
     """
-    kind = scenario_registry.get(args.scenario or args.workload).kind
     if args.scenario:
         return _scenario_points(args)
+    kind = scenario_registry.get(args.workload).kind
     if kind == "preset":
-        preset_csv = args.presets or DEFAULT_PRESETS
-        presets = tuple(p.strip() for p in preset_csv.split(",") if p.strip())
-        if not presets:
-            raise SystemExit("--presets must list at least one preset")
+        presets = _csv_list(
+            args.presets if args.presets is not None else DEFAULT_PRESETS,
+            "--presets", "preset",
+        )
         return preset_points(args.workload, presets)
     if kind == "trace":
         # Trace scenarios have exactly one operating point: the
@@ -579,40 +640,27 @@ def _workload_points(args: argparse.Namespace) -> tuple[WorkloadPoint, ...]:
     return _rate_points(args)
 
 
-def _parse_seeds(value: str) -> tuple[int, ...]:
-    seeds = tuple(int(s) for s in value.split(",") if s.strip())
-    if not seeds:
-        raise SystemExit("--seeds must list at least one seed")
-    return seeds
+def _grid_axes(args: argparse.Namespace) -> dict[str, Any]:
+    """sweep/fleet's workload, seed and window axes, as spec fields."""
+    return {
+        "workloads": _workload_points(args),
+        "seeds": _csv_list(args.seeds, "--seeds", "seed", int),
+        "duration_ns": args.duration_ms * MS if args.duration_ms else None,
+        "warmup_ns": args.warmup_ms * MS if args.warmup_ms is not None else None,
+    }
 
 
-def _add_set_flag(parser: argparse.ArgumentParser, fleet: bool = False) -> None:
-    scope_note = (
-        "fleet-scoped names (fleet.*) configure the cluster"
-        if fleet
-        else "machine-scoped names only (see 'repro props list')"
-    )
-    parser.add_argument(
-        "--set", action="append", default=[], metavar="NAME=VALUE[,VALUE...]",
-        dest="set_props",
-        help="platform-property override; a comma list of values grids "
-             f"the axis (repeat --set for more properties; {scope_note})",
-    )
-
-
-def _parse_set_args(
+def _set_axes(
     set_args: list[str], fleet: bool = False
-) -> tuple[dict[str, object], ...]:
-    """``--set`` occurrences -> the cross product of override dicts.
+) -> list[tuple[str, list[Any]]]:
+    """``--set`` occurrences -> ``(name, values)`` grid axes.
 
     Each occurrence is ``name=value`` or ``name=v1,v2,...`` (a grid
-    axis); occurrences cross-multiply, so ``--set timer_tick_hz=0,250
-    --set governor=shallow,menu`` yields four override sets. Values are
-    parsed and validated against the registry here, so a typo'd name
-    or out-of-range value dies with a pepc-style message before any
-    cell is built.
+    axis). Values are parsed and validated against the registry here,
+    so a typo'd name or out-of-range value dies with a pepc-style
+    message before any cell is built.
     """
-    axes: list[tuple[str, list[object]]] = []
+    axes: list[tuple[str, list[Any]]] = []
     seen: set[str] = set()
     for raw in set_args:
         name, sep, blob = raw.partition("=")
@@ -642,15 +690,26 @@ def _parse_set_args(
             raise SystemExit(f"--set {name} lists duplicate values: {blob}")
         seen.add(name)
         axes.append((name, values))
-    combos: list[dict[str, object]] = [{}]
+    return axes
+
+
+def _cross(
+    axes: Sequence[tuple[str, Sequence[Any]]],
+) -> tuple[dict[str, Any], ...]:
+    """Grid axes -> the cross product of override dicts.
+
+    The first axis is outermost, so ``--set timer_tick_hz=0,250 --set
+    governor=shallow,menu`` yields four override sets in that order.
+    """
+    combos: list[dict[str, Any]] = [{}]
     for name, values in axes:
         combos = [{**combo, name: value} for combo in combos for value in values]
     return tuple(combos)
 
 
 def _split_scopes(
-    combo: dict[str, object],
-) -> tuple[dict[str, object], dict[str, object]]:
+    combo: dict[str, Any],
+) -> tuple[dict[str, Any], dict[str, Any]]:
     """One override set -> (machine-scoped, fleet-scoped) halves."""
     machine = {k: v for k, v in combo.items() if get_prop(k).scope != "fleet"}
     fleet = {k: v for k, v in combo.items() if get_prop(k).scope == "fleet"}
@@ -735,7 +794,7 @@ def _run_grid(
     args: argparse.Namespace, cells: list, what: str,
     table: Callable[[SweepResults], str], **csv_options,
 ) -> int:
-    """Run a ``sweep`` or ``fleet`` grid and report it; the exit code.
+    """Run an ``export``, ``sweep`` or ``fleet`` grid and report it.
 
     Rows stream into ``args.out`` as cells complete (in deterministic
     cell order, so the CSV is byte-identical to a buffered write)
@@ -743,7 +802,8 @@ def _run_grid(
     lands; ``csv_options`` pick the writer's columns and flattener.
     With ``--store`` a journal records completed cells, and Ctrl-C
     leaves a durable partial CSV (exit 130). Then the run summary,
-    ``--stats-json``, the quarantine report and ``table(results)``.
+    ``--stats-json``, the quarantine report and ``table(results)``;
+    returns the exit code.
     """
     workers = _resolve_workers(args.workers)
     store = ResultStore(args.store) if args.store else None
@@ -789,16 +849,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     (cells, cache hits/misses, rows) for machine consumption.
     """
     try:
-        points = _workload_points(args)
-        seeds = _parse_seeds(args.seeds)
-        combos = _parse_set_args(args.set_props)
         spec = SweepSpec(
-            workloads=points,
-            configs=_split_configs(args.configs),
-            seeds=seeds,
-            duration_ns=args.duration_ms * MS if args.duration_ms else None,
-            warmup_ns=args.warmup_ms * MS if args.warmup_ms is not None else None,
-            props=combos,
+            **_grid_axes(args),
+            props=_cross(_set_axes(args.set_props)),
+            configs=_csv_list(args.configs, "--configs", "config"),
         )
     except (KeyError, ValueError, OSError) as error:
         # OSError: a trace scenario naming a missing/unreadable file.
@@ -847,59 +901,40 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         FleetSpec,
         flatten_fleet_result,
     )
-    from repro.props.builtin import CONTROL_PROP_NAMES
     from repro.units import US
 
     try:
-        points = _workload_points(args)
-        seeds = _parse_seeds(args.seeds)
-        routings = tuple(r.strip() for r in args.routing.split(",") if r.strip())
-        if not routings:
-            raise SystemExit("--routing must list at least one policy")
-        controls = tuple(
-            c.strip() for c in args.control.split(",") if c.strip()
+        axes = _grid_axes(args)
+        # The cluster flags are the leading grid axes, in this order;
+        # a --set of the same property replaces its flag's axis. Each
+        # name is "fleet." + the ClusterConfig field it sets.
+        flag_axes = [
+            ("fleet.n_servers", [args.servers]),
+            ("fleet.routing", _csv_list(args.routing, "--routing", "policy")),
+            ("fleet.control", _csv_list(args.control, "--control", "policy")),
+            ("fleet.dispatch_latency_ns", [int(args.dispatch_latency_us * US)]),
+            ("fleet.pack_watermark", [args.pack_watermark]),
+        ]
+        set_axes = _set_axes(args.set_props, fleet=True)
+        named = {name for name, _ in set_axes}
+        combos = _cross(
+            [axis for axis in flag_axes if axis[0] not in named] + set_axes
         )
-        if not controls:
-            raise SystemExit("--control must list at least one policy")
-        combos = _parse_set_args(args.set_props, fleet=True)
         clusters = []
-        for config in _split_configs(args.configs):
-            for routing in routings:
-                for control in controls:
-                    for combo in combos:
-                        machine_over, fleet_over = _split_scopes(combo)
-                        control_over = {
-                            k: v for k, v in fleet_over.items()
-                            if k in CONTROL_PROP_NAMES
-                        }
-                        clusters.append(ClusterConfig(
-                            machine=config,
-                            n_servers=int(fleet_over.get(
-                                "fleet.n_servers", args.servers)),
-                            routing=str(fleet_over.get(
-                                "fleet.routing", routing)),
-                            dispatch_latency_ns=int(fleet_over.get(
-                                "fleet.dispatch_latency_ns",
-                                int(args.dispatch_latency_us * US))),
-                            pack_watermark=int(fleet_over.get(
-                                "fleet.pack_watermark", args.pack_watermark)),
-                            props=machine_over,
-                            control=str(fleet_over.get(
-                                "fleet.control", control)),
-                            control_props=tuple(
-                                sorted(control_over.items())),
-                        ))
-        # --set fleet.routing / fleet.control override their axis
-        # flags, which would otherwise repeat identical clusters once
-        # per axis value.
-        clusters = tuple(dict.fromkeys(clusters))
-        spec = FleetSpec(
-            workloads=points,
-            clusters=clusters,
-            seeds=seeds,
-            duration_ns=args.duration_ms * MS if args.duration_ms else None,
-            warmup_ns=args.warmup_ms * MS if args.warmup_ms is not None else None,
-        )
+        for config in _csv_list(args.configs, "--configs", "config"):
+            for combo in combos:
+                machine_over, fleet_over = _split_scopes(combo)
+                shape = {
+                    name.removeprefix("fleet."): fleet_over.pop(name)
+                    for name, _ in flag_axes
+                }
+                # What the five cluster fields leave are the controller
+                # knobs.
+                clusters.append(ClusterConfig(
+                    machine=config, props=machine_over,
+                    control_props=tuple(sorted(fleet_over.items())), **shape,
+                ))
+        spec = FleetSpec(**axes, clusters=tuple(clusters))
     except (KeyError, ValueError, OSError) as error:
         raise SystemExit(f"invalid fleet grid: {error}") from None
     return _run_grid(
@@ -1109,99 +1144,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     area_parser.add_argument("--width-bits", type=int, default=128)
     area_parser.set_defaults(fn=cmd_area)
 
-    export_parser = sub.add_parser("export", help="sweep rates to CSV")
-    _add_run_args(export_parser)
-    export_parser.add_argument(
-        "--configs", default="Cshallow,CPC1A",
-        help="comma-separated config names",
+    export_parser = sub.add_parser(
+        "export", help="config x rate grid to the Figs. 6/7 CSV"
     )
-    export_parser.add_argument(
-        "--rates", default="0,4000,10000,25000,50000,100000",
-        help="comma-separated offered rates (0 = idle)",
+    _add_run_args(export_parser, qps=False)
+    _add_grid_args(
+        export_parser, configs="Cshallow,CPC1A", out="results/sweep.csv",
+        workers=1,
     )
-    export_parser.add_argument("--out", default="results/sweep.csv")
-    export_parser.add_argument(
-        "--workers", type=int, default=1, help="worker processes (0 = one per core)"
-    )
-    export_parser.add_argument(
-        "--store", default=None, help="result-cache directory (optional)"
-    )
-    _add_set_flag(export_parser)
-    _add_progress_flag(export_parser)
     export_parser.set_defaults(fn=cmd_export)
 
     sweep_parser = sub.add_parser(
         "sweep", help="parallel scenario x config x rate x seed grid"
     )
-    sweep_parser.add_argument(
-        "--workload", default="memcached", choices=list(workload_names())
+    _add_axis_args(sweep_parser)
+    _add_grid_args(
+        sweep_parser, configs="Cshallow,CPC1A", out="results/sweep_grid.csv",
+        workers=0,
     )
-    sweep_parser.add_argument(
-        "--scenario", default=None, choices=list(workload_names()),
-        help="sweep a registered scenario on its default grid "
-             "(overrides --workload; see 'repro scenarios list')",
-    )
-    sweep_parser.add_argument(
-        "--configs", default="Cshallow,CPC1A",
-        help="comma-separated config names",
-    )
-    sweep_parser.add_argument(
-        "--rates", default=None,
-        help="comma-separated offered rates (rate scenarios; 0 = idle; "
-             f"default {DEFAULT_RATES})",
-    )
-    sweep_parser.add_argument(
-        "--presets",
-        default=None,
-        help="comma-separated presets (mysql/kafka; " f"default {DEFAULT_PRESETS})",
-    )
-    sweep_parser.add_argument(
-        "--trace", default=None,
-        help="trace file for --scenario replay (default: bundled example)",
-    )
-    sweep_parser.add_argument("--preset", default="low", help=argparse.SUPPRESS)
-    sweep_parser.add_argument(
-        "--seeds", default="1", help="comma-separated seeds; >1 adds CI"
-    )
-    sweep_parser.add_argument(
-        "--duration-ms", type=int, default=0,
-        help="window per cell (0 = size each window to its rate)",
-    )
-    sweep_parser.add_argument(
-        "--warmup-ms", type=int, default=None,
-        help="warmup per cell (default: derived from the window)",
-    )
-    sweep_parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes (0 = one per core, REPRO_SWEEP_WORKERS)",
-    )
-    sweep_parser.add_argument(
-        "--store", default=None, help="result-cache directory (optional)"
-    )
-    sweep_parser.add_argument("--out", default="results/sweep_grid.csv")
-    sweep_parser.add_argument(
-        "--stats-json", default=None,
-        help="write machine-readable run stats (cells, cache hits) here",
-    )
-    _add_set_flag(sweep_parser)
-    _add_progress_flag(sweep_parser)
-    _add_robustness_flags(sweep_parser)
     sweep_parser.set_defaults(fn=cmd_sweep)
 
     fleet_parser = sub.add_parser(
         "fleet", help="multi-server cluster sweep (routing x config x rate)"
     )
-    fleet_parser.add_argument(
-        "--workload", default="memcached", choices=list(workload_names())
-    )
-    fleet_parser.add_argument(
-        "--scenario", default=None, choices=list(workload_names()),
-        help="drive the fleet with a registered scenario's default grid",
-    )
-    fleet_parser.add_argument(
-        "--configs", default="CPC1A",
-        help="comma-separated per-server config names",
-    )
+    _add_axis_args(fleet_parser)
     fleet_parser.add_argument(
         "--servers", type=int, default=2,
         help="servers per cluster (default 2)",
@@ -1227,45 +1193,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="concurrent requests a server absorbs before "
              "power-aware-pack spills (0 = one per core)",
     )
-    fleet_parser.add_argument(
-        "--rates", default=None,
-        help="comma-separated offered rates for the whole fleet "
-             f"(rate scenarios; 0 = idle; default {DEFAULT_RATES})",
+    _add_grid_args(
+        fleet_parser, configs="CPC1A", out="results/fleet_grid.csv",
+        workers=0, fleet=True,
     )
-    fleet_parser.add_argument(
-        "--presets", default=None,
-        help="comma-separated presets (preset scenarios; "
-             f"default {DEFAULT_PRESETS})",
-    )
-    fleet_parser.add_argument(
-        "--trace", default=None,
-        help="trace file for --scenario replay (default: bundled example)",
-    )
-    fleet_parser.add_argument("--preset", default="low", help=argparse.SUPPRESS)
-    fleet_parser.add_argument("--seeds", default="1", help="comma-separated seeds")
-    fleet_parser.add_argument(
-        "--duration-ms", type=int, default=0,
-        help="window per cell (0 = size each window to its rate)",
-    )
-    fleet_parser.add_argument(
-        "--warmup-ms", type=int, default=None,
-        help="warmup per cell (default: derived from the window)",
-    )
-    fleet_parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes (0 = one per core, REPRO_SWEEP_WORKERS)",
-    )
-    fleet_parser.add_argument(
-        "--store", default=None, help="result-cache directory (optional)"
-    )
-    fleet_parser.add_argument("--out", default="results/fleet_grid.csv")
-    fleet_parser.add_argument(
-        "--stats-json", default=None,
-        help="write machine-readable run stats (cells, cache hits) here",
-    )
-    _add_set_flag(fleet_parser, fleet=True)
-    _add_progress_flag(fleet_parser)
-    _add_robustness_flags(fleet_parser)
     fleet_parser.set_defaults(fn=cmd_fleet)
 
     props_parser = sub.add_parser(

@@ -17,7 +17,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-from repro.cell import run_cell
 from repro.fleet.cluster import ClusterConfig, FleetMachine
 from repro.fleet.result import FleetResult
 from repro.props import resolve_config
@@ -149,15 +148,6 @@ class FleetCell:
         return collect_fleet_result(
             runtime, workload, self.duration_ns, self.seed
         )
-
-    def simulate(self) -> FleetResult:
-        """Run this cell from scratch.
-
-        Deprecated: this predates the unified cell protocol — prefer
-        :func:`repro.cell.run_cell`, which this now wraps.
-        """
-        result: FleetResult = run_cell(self)
-        return result
 
     # -- identity ----------------------------------------------------------
     @property

@@ -22,7 +22,6 @@ from repro.workloads.arrivals import (
     ConvoyArrivals,
     GammaArrivals,
     MMPPArrivals,
-    MmppArrivals,
     PoissonArrivals,
     TraceReplayArrivals,
 )
@@ -44,22 +43,8 @@ from repro.workloads.upi_traffic import CompositeWorkload, UpiSnoopTraffic
 from repro.workloads.factory import build_workload
 
 
-def __getattr__(name: str):
-    """``WORKLOAD_NAMES``/``PRESET_WORKLOADS``, served live.
-
-    The tuples grow as scenarios register, so they are computed on
-    access (via the factory) rather than frozen at import time.
-    """
-    if name in ("WORKLOAD_NAMES", "PRESET_WORKLOADS"):
-        from repro.workloads import factory
-
-        return getattr(factory, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "build_workload",
-    "WORKLOAD_NAMES",
     "Request",
     "Workload",
     "NullWorkload",
@@ -67,7 +52,6 @@ __all__ = [
     "PoissonArrivals",
     "GammaArrivals",
     "MMPPArrivals",
-    "MmppArrivals",
     "ConvoyArrivals",
     "TraceReplayArrivals",
     "ServiceModel",

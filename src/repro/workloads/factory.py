@@ -7,12 +7,6 @@ the scenario registry (:mod:`repro.scenarios`): this module is the
 thin compatibility layer the CLI and sweep specs have always imported,
 now answering from the registry, so scenarios added with one decorator
 are immediately buildable everywhere.
-
-``WORKLOAD_NAMES`` and ``PRESET_WORKLOADS`` remain importable but are
-computed on attribute access (PEP 562), because the registry can grow
-at runtime. The registry import happens inside the accessors — never
-at module import — to keep ``repro.workloads`` -> ``repro.scenarios``
--> workload modules acyclic.
 """
 
 from __future__ import annotations
@@ -53,11 +47,3 @@ def preset_workload_names() -> tuple[str, ...]:
         if scenario.uses_preset
     )
 
-
-def __getattr__(name: str):
-    """Back-compat: the historical tuple constants, served live."""
-    if name == "WORKLOAD_NAMES":
-        return workload_names()
-    if name == "PRESET_WORKLOADS":
-        return preset_workload_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

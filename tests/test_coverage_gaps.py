@@ -137,6 +137,16 @@ class TestCliCompareAndWorkloads:
         with pytest.raises(KeyError):
             build_workload("postgres", 1000, "low")
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("window", [
+        ["--duration-ms", "0"], ["--warmup-ms", "-1"],
+    ])
+    def test_bad_window_exits_with_one_line(self, command, window):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, *window])
+        message = str(exit_info.value.code)
+        assert message.startswith(window[0]) and "\n" not in message
+
     def test_export_command_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = cli_main([
@@ -153,6 +163,14 @@ class TestCliCompareAndWorkloads:
     def test_export_rejects_empty_rates(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["export", "--rates", "", "--out", str(tmp_path / "x.csv")])
+
+    def test_export_missing_trace_exits_with_one_line(self, tmp_path):
+        with pytest.raises(SystemExit, match="invalid export grid: .*No such"):
+            cli_main([
+                "export", "--workload", "replay",
+                "--preset", str(tmp_path / "missing.csv"),
+                "--out", str(tmp_path / "x.csv"),
+            ])
 
 
 class TestMachineTicksIntegration:

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.fleet import (
     FLEET_CSV_COLUMNS,
     ClusterConfig,
@@ -506,3 +507,101 @@ class TestFleetSweepIntegration:
         packed = results.one(routing="power-aware-pack")
         assert packed.routing == "power-aware-pack"
         assert packed.n_servers == 16
+
+
+def cluster_columns(path):
+    """The (config, servers, routing, dispatch us, control) row sequence."""
+    with open(path, newline="") as handle:
+        return [
+            (row["config"], row["n_servers"], row["routing"],
+             row["dispatch_latency_us"], row["control"])
+            for row in csv.DictReader(handle)
+        ]
+
+
+#: ``repro fleet`` argv -> the row sequence it must produce.
+FLEET_GRIDS = {
+    "flags-then-set-axes": (
+        ["--rates", "0,20000", "--servers", "3",
+         "--routing", "least-outstanding", "--control", "static,slo-pack",
+         "--configs", "Cshallow,CPC1A",
+         "--set", "timer_tick_hz=0,250", "--set", "fleet.slo_p99_ns=2000000",
+         "--dispatch-latency-us", "3.5", "--pack-watermark", "4"],
+        [
+            ("Cshallow", "3", "least-outstanding", "3.5", "static"),
+            ("Cshallow", "3", "least-outstanding", "3.5", "static"),
+            ("Cshallow+timer_tick_hz=250", "3", "least-outstanding", "3.5", "static"),
+            ("Cshallow+timer_tick_hz=250", "3", "least-outstanding", "3.5", "static"),
+            ("Cshallow", "3", "least-outstanding", "3.5", "slo-pack"),
+            ("Cshallow", "3", "least-outstanding", "3.5", "slo-pack"),
+            ("Cshallow+timer_tick_hz=250", "3", "least-outstanding", "3.5", "slo-pack"),
+            ("Cshallow+timer_tick_hz=250", "3", "least-outstanding", "3.5", "slo-pack"),
+            ("CPC1A", "3", "least-outstanding", "3.5", "static"),
+            ("CPC1A", "3", "least-outstanding", "3.5", "static"),
+            ("CPC1A+timer_tick_hz=250", "3", "least-outstanding", "3.5", "static"),
+            ("CPC1A+timer_tick_hz=250", "3", "least-outstanding", "3.5", "static"),
+            ("CPC1A", "3", "least-outstanding", "3.5", "slo-pack"),
+            ("CPC1A", "3", "least-outstanding", "3.5", "slo-pack"),
+            ("CPC1A+timer_tick_hz=250", "3", "least-outstanding", "3.5", "slo-pack"),
+            ("CPC1A+timer_tick_hz=250", "3", "least-outstanding", "3.5", "slo-pack"),
+        ],
+    ),
+    "set-replaces-routing-and-servers": (
+        ["--rates", "20000", "--routing", "round-robin,power-aware-pack",
+         "--control", "static,sleepscale",
+         "--set", "fleet.routing=least-outstanding,power-aware-spread",
+         "--set", "fleet.n_servers=2,3"],
+        [
+            ("CPC1A", "2", "least-outstanding", "2.0", "static"),
+            ("CPC1A", "3", "least-outstanding", "2.0", "static"),
+            ("CPC1A", "2", "power-aware-spread", "2.0", "static"),
+            ("CPC1A", "3", "power-aware-spread", "2.0", "static"),
+            ("CPC1A", "2", "least-outstanding", "2.0", "sleepscale"),
+            ("CPC1A", "3", "least-outstanding", "2.0", "sleepscale"),
+            ("CPC1A", "2", "power-aware-spread", "2.0", "sleepscale"),
+            ("CPC1A", "3", "power-aware-spread", "2.0", "sleepscale"),
+        ],
+    ),
+    "set-replaces-control-and-dispatch": (
+        ["--rates", "20000", "--routing", "round-robin,power-aware-pack",
+         "--control", "static,sleepscale",
+         "--set", "fleet.control=slo-pack",
+         "--set", "fleet.dispatch_latency_ns=0,5000"],
+        [
+            ("CPC1A", "2", "round-robin", "0.0", "slo-pack"),
+            ("CPC1A", "2", "round-robin", "5.0", "slo-pack"),
+            ("CPC1A", "2", "power-aware-pack", "0.0", "slo-pack"),
+            ("CPC1A", "2", "power-aware-pack", "5.0", "slo-pack"),
+        ],
+    ),
+    "properties-doc-example": (
+        ["--servers", "4", "--rates", "40000",
+         "--set", "fleet.routing=power-aware-pack", "--set", "timer_tick_hz=250"],
+        [("CPC1A+timer_tick_hz=250", "4", "power-aware-pack", "2.0", "static")],
+    ),
+}
+
+
+class TestCliFleetGrid:
+    """``repro fleet``'s grid expansion: the cluster flags are the
+    leading axes (servers, routing, control, dispatch latency, pack
+    watermark), then the ``--set`` axes in command-line order; a
+    ``--set fleet.*`` replaces its flag's axis."""
+
+    RUN = ["--duration-ms", "1", "--warmup-ms", "0", "--workers", "1",
+           "--no-progress"]
+
+    @pytest.mark.parametrize("grid", sorted(FLEET_GRIDS))
+    def test_row_sequence_is_pinned(self, grid, tmp_path):
+        argv, expected = FLEET_GRIDS[grid]
+        out = tmp_path / "fleet.csv"
+        assert cli_main(["fleet", *argv, *self.RUN, "--out", str(out)]) == 0
+        assert cluster_columns(out) == expected
+
+    def test_repeated_flag_value_is_a_duplicate_cluster(self, tmp_path):
+        with pytest.raises(SystemExit, match="invalid fleet grid"):
+            cli_main([
+                "fleet", "--rates", "20000",
+                "--routing", "round-robin,round-robin",
+                *self.RUN, "--out", str(tmp_path / "fleet.csv"),
+            ])

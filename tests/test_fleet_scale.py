@@ -233,10 +233,6 @@ class TestCellProtocol:
         )
         assert via_cell == classic
 
-    def test_simulate_shim_still_works(self):
-        cell = diurnal_cell(n_servers=2)
-        assert cell.simulate() == run_cell(cell)
-
 
 def imports_of(path: Path) -> set[str]:
     """Every module an AST imports, at any depth (``from repro import

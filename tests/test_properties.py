@@ -14,7 +14,7 @@ from repro.units import ns_to_s
 from repro.workloads.arrivals import (
     ConvoyArrivals,
     GammaArrivals,
-    MmppArrivals,
+    MMPPArrivals,
     PoissonArrivals,
 )
 
@@ -234,7 +234,7 @@ class TestArrivalProperties:
     @settings(deadline=None, max_examples=20)
     def test_mmpp_gaps_positive_and_finite(self, seed):
         rng = np.random.default_rng(seed)
-        process = MmppArrivals(50_000, 1_000, 100_000, 400_000)
+        process = MMPPArrivals((50_000, 1_000), (100_000, 400_000))
         gaps = [process.next_gap_ns(rng) for _ in range(200)]
         assert all(1 <= g < 10**12 for g in gaps)
 

@@ -22,7 +22,7 @@ from repro.scenarios.builtin import EXAMPLE_TRACE
 from repro.sim import Simulator
 from repro.sweep import ExperimentSpec, SweepSpec, WorkloadPoint
 from repro.units import MS, S, US
-from repro.workloads.arrivals import (MMPPArrivals, MmppArrivals, TraceReplayArrivals)
+from repro.workloads.arrivals import MMPPArrivals, TraceReplayArrivals
 from repro.workloads.base import NullWorkload
 from repro.workloads.nginx import NginxWorkload
 from repro.workloads.replay import TraceReplayWorkload, load_trace
@@ -233,12 +233,6 @@ class TestMMPPArrivals:
         gaps = [process.next_gap_ns(rng) for _ in range(40_000)]
         measured = len(gaps) * S / sum(gaps)
         assert measured == pytest.approx(expected, rel=0.1)
-
-    def test_two_phase_compat_subclass(self):
-        process = MmppArrivals(20_000, 0.0, 5 * MS, 5 * MS)
-        assert process.n_phases == 2
-        assert process.mean_rate_per_s() == pytest.approx(10_000)
-        assert process.high_rate_per_s == 20_000
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import FleetCell, run_cell
-from repro.cli import main as cli_main
+from repro.cli import EXPORT_COLUMNS, main as cli_main
 from repro.props import PropertySet, preset_props
 from repro.server.stats import EMPTY_SUMMARY
 from repro.server.experiment import ExperimentResult
@@ -32,6 +32,7 @@ from repro.sweep import (
     result_to_dict,
     warmup_for_duration,
 )
+from repro.sweep import chaos
 from repro.tracing.socwatch import OpportunityEstimate
 from repro.units import MS
 
@@ -720,3 +721,34 @@ class TestCliSweep:
             "total_power_w,mean_latency_us,p99_latency_us,pc1a_exits,"
             "requests_completed"
         )
+
+    def test_export_quarantined_cells_fail_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Every attempt faults, so both cells exhaust the default retry
+        # budget: the run must say so instead of writing a short CSV.
+        monkeypatch.setenv(chaos.ENV_VAR, "seed=3,fault=1.0")
+        out = tmp_path / "export.csv"
+        assert cli_main([
+            "export", "--rates", "0,8000", "--configs", "CPC1A",
+            "--duration-ms", "5", "--warmup-ms", "1", "--no-progress",
+            "--out", str(out),
+        ]) == 1
+        assert out.read_text().splitlines() == [",".join(EXPORT_COLUMNS)]
+        report = json.loads(
+            (tmp_path / "export.csv.quarantine.json").read_text()
+        )
+        assert [
+            (cell["label"], cell["attempts"]) for cell in report["quarantined"]
+        ] == [("CPC1A/idle/seed0", 4), ("CPC1A/memcached@8000/seed0", 4)]
+        assert "2 cell(s) quarantined" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "fleet"])
+    def test_empty_presets_are_rejected(self, command, tmp_path):
+        with pytest.raises(
+            SystemExit, match="--presets must list at least one preset"
+        ):
+            cli_main([
+                command, "--workload", "mysql", "--presets", "",
+                "--out", str(tmp_path / "grid.csv"),
+            ])

@@ -8,7 +8,7 @@ from repro.units import MS, S, US
 from repro.workloads.arrivals import (
     ConvoyArrivals,
     GammaArrivals,
-    MmppArrivals,
+    MMPPArrivals,
     PoissonArrivals,
 )
 from repro.workloads.base import NullWorkload, Request, workload_rng
@@ -51,12 +51,12 @@ class TestArrivalProcesses:
         assert cv(regular) < 0.6
 
     def test_mmpp_mean_rate(self):
-        process = MmppArrivals(20_000, 0.0, 5 * MS, 5 * MS)
+        process = MMPPArrivals((20_000, 0.0), (5 * MS, 5 * MS))
         assert process.mean_rate_per_s() == pytest.approx(10_000)
         assert mean_rate(process) == pytest.approx(10_000, rel=0.1)
 
     def test_mmpp_zero_low_rate_produces_gaps(self):
-        process = MmppArrivals(50_000, 0.0, 1 * MS, 1 * MS)
+        process = MMPPArrivals((50_000, 0.0), (1 * MS, 1 * MS))
         gaps = [process.next_gap_ns(RNG) for _ in range(5_000)]
         # Quiet phases show up as gaps on the order of the dwell time.
         assert max(gaps) > 500 * US
@@ -82,7 +82,7 @@ class TestArrivalProcesses:
         with pytest.raises(ValueError):
             GammaArrivals(100, 0)
         with pytest.raises(ValueError):
-            MmppArrivals(0, 0, 1, 1)
+            MMPPArrivals((0, 0), (1, 1))
         with pytest.raises(ValueError):
             ConvoyArrivals(10, 5.0, 20)  # spread > period
 
