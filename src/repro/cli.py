@@ -105,6 +105,7 @@ from repro.props import (
     preset_props,
     render_value,
 )
+from repro.scenarios import scenario_names
 from repro.server.configs import CONFIG_BUILDERS, config_by_name
 from repro.server.experiment import ExperimentResult, run_experiment
 from repro.sweep import (
@@ -124,7 +125,6 @@ from repro.sweep import (
 )
 from repro.units import MS
 from repro.workloads.base import NullWorkload
-from repro.workloads.factory import build_workload, workload_names
 
 #: Historical grid defaults (memcached's rate axis; mysql/kafka's
 #: shared presets) used when neither ``--scenario`` nor an explicit
@@ -188,7 +188,7 @@ def _progress_for(args: argparse.Namespace, total: int) -> ThrottledProgress | N
 def _add_run_args(parser: argparse.ArgumentParser, qps: bool = True) -> None:
     """One experiment's workload, window and seed (run, compare, export)."""
     parser.add_argument(
-        "--workload", default="memcached", choices=list(workload_names())
+        "--workload", default="memcached", choices=list(scenario_names())
     )
     if qps:
         parser.add_argument(
@@ -278,10 +278,10 @@ def _add_grid_args(
 def _add_axis_args(parser: argparse.ArgumentParser) -> None:
     """The scenario, seed and window axes sweep and fleet share."""
     parser.add_argument(
-        "--workload", default="memcached", choices=list(workload_names())
+        "--workload", default="memcached", choices=list(scenario_names())
     )
     parser.add_argument(
-        "--scenario", default=None, choices=list(workload_names()),
+        "--scenario", default=None, choices=list(scenario_names()),
         help="sweep a registered scenario on its default grid "
              "(overrides --workload; see 'repro scenarios list')",
     )
@@ -439,7 +439,7 @@ def _run_window(args: argparse.Namespace) -> tuple[int, int]:
 def _build_cli_workload(args: argparse.Namespace):
     """Build the run/compare workload with CLI-friendly errors."""
     try:
-        return build_workload(args.workload, args.qps, args.preset)
+        return scenario_registry.build(args.workload, args.qps, args.preset)
     except (KeyError, ValueError, OSError) as error:
         # OSError: a trace workload naming a missing/unreadable file.
         raise SystemExit(f"invalid workload: {error}") from None

@@ -278,7 +278,7 @@ class Apmu(PackageController):
 
     def _exit_branch_clm(self) -> None:
         self.clmr.raise_voltage()
-        self._on_pwr_ok(self._exit_ungate)
+        self._on_pwr_ok(self.clmr.pwr_ok, self._exit_ungate)
 
     def _exit_ungate(self) -> None:
         self.clmr.ungate()
@@ -312,20 +312,8 @@ class Apmu(PackageController):
             self._maybe_begin_entry()
 
     # -- helpers ----------------------------------------------------------
-    def _on_pwr_ok(self, fn) -> None:
-        if self.clmr.pwr_ok.value:
-            fn()
-            return
-
-        def watcher(signal, old, new):
-            if new:
-                self.clmr.pwr_ok.unwatch(watcher)
-                fn()
-
-        self.clmr.pwr_ok.watch(watcher)
-
     def _when_mcs_active(self, fn) -> None:
-        if all(mc.state == "active" for mc in self.iosm.memory_controllers):
+        if self.iosm.all_mcs_active:
             fn()
             return
         self._mcs_active_waiter = fn
@@ -333,7 +321,7 @@ class Apmu(PackageController):
     def _on_mc_state_change(self, new_state: str) -> None:
         if self._mcs_active_waiter is None:
             return
-        if all(mc.state == "active" for mc in self.iosm.memory_controllers):
+        if self.iosm.all_mcs_active:
             waiter, self._mcs_active_waiter = self._mcs_active_waiter, None
             waiter()
 

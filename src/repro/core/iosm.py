@@ -46,11 +46,6 @@ class IosmController:
         return self._in_l0s_tree.output
 
     @property
-    def all_mcs_cke_off(self) -> bool:
-        """True when every memory controller reached CKE-off."""
-        return all(mc.state == "cke_off" for mc in self.memory_controllers)
-
-    @property
     def all_mcs_active(self) -> bool:
         """True when every memory controller is serving."""
         return all(mc.state == "active" for mc in self.memory_controllers)

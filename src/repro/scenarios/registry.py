@@ -20,7 +20,7 @@ scenario is one decorator::
 
 after which ``repro scenarios list`` shows it, ``repro sweep
 --scenario my-service`` runs it, and :class:`~repro.sweep.spec
-.WorkloadPoint` accepts it — no factory edits required. Third-party
+.WorkloadPoint` accepts it — no other edits required. Third-party
 modules can self-register at import via the ``REPRO_SCENARIO_MODULES``
 environment variable (comma-separated module paths, imported on first
 registry access — entry-point-style discovery without packaging

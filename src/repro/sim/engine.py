@@ -7,14 +7,21 @@ order, which makes runs fully deterministic for a fixed seed.
 Hot-path design
 ---------------
 The heap stores ``(time, seq, event)`` tuples rather than the events
-themselves, so every sift comparison is a C-level int compare instead
-of a Python ``__lt__`` call. Cancellation is *lazy*: a cancelled event
-stays in the heap (marked dead) until it is popped or until the
-cancelled fraction crosses a threshold, at which point the heap is
-compacted in place. Rearm-heavy models (periodic timers, governors,
-NIC idle windows) therefore never grow the queue unboundedly, and
-timers can recycle their event object via :meth:`Simulator.reschedule`
-instead of allocating a fresh :class:`Event` per tick.
+themselves, so every sift comparison is a C-level int compare; seqs
+are unique, so no comparison reaches an :class:`Event`, which defines
+no ordering. Cancellation is *lazy*: a cancelled event stays in the
+heap (marked dead) until it is popped or until the cancelled fraction
+crosses a threshold, at which point the heap is compacted in place.
+Rearm-heavy models (periodic timers, governors, NIC idle windows)
+therefore never grow the queue unboundedly, and timers can recycle
+their event object via :meth:`Simulator.reschedule` instead of
+allocating a fresh :class:`Event` per tick.
+
+Events fire at two sites: the plain loop in :meth:`Simulator.run`
+(hoisted locals, no hook) and :meth:`Simulator.step`, the observed
+dispatch that sanitize mode drives one event at a time. Both stop at
+the same bound and retire cancelled entries alike, so a sanitized run
+leaves the kernel in the state a plain one does.
 
 The clock is an integer nanosecond count. Scheduling at a non-integral
 time is rejected with :class:`SimulationError` — silently truncating
@@ -38,6 +45,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable
@@ -102,9 +110,6 @@ class Event:
     def pending(self) -> bool:
         """True while the event is still scheduled to fire."""
         return not self.cancelled and not self.fired
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = (
@@ -327,24 +332,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        event = _new_event(Event)
-        event.time = time_ns
-        event.seq = seq
-        event.fn = fn
-        event.args = args
-        event.cancelled = False
-        event.fired = False
-        event._sim = self
-        event._in_heap = True
-        if self._sanitizer is not None:
-            self._sanitizer.note_scheduled(seq, self.now, fn)
-        queue = self._queue
-        _heappush(queue, (time_ns, seq, event))
-        if len(queue) > self._peak_heap_size:
-            self._peak_heap_size = len(queue)
-        return event
+        return self.schedule(time_ns - self.now, fn, *args)
 
     def reschedule(self, event: Event, delay_ns: int) -> Event:
         """Re-arm a fired (or cancelled-and-retired) event object.
@@ -408,13 +396,17 @@ class Simulator:
         self._heap_compactions += 1
 
     # -- execution -------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event. Returns False if none left."""
+    def step(self, until_ns: float | None = None) -> bool:
+        """Fire the next live event at or before ``until_ns`` (None: any).
+
+        The observed dispatch: the sanitizer sees every event fired
+        here. Cancelled entries met on the way are retired. Returns
+        False, with the clock untouched, when no live event is due.
+        """
+        limit = math.inf if until_ns is None else until_ns
         queue = self._queue
-        pop = _heappop
-        sanitizer = self._sanitizer
-        while queue:
-            time_ns, _seq, event = pop(queue)
+        while queue and queue[0][0] <= limit:
+            time_ns, seq, event = _heappop(queue)
             event._in_heap = False
             if event.cancelled:
                 self._cancelled_in_heap -= 1
@@ -422,8 +414,8 @@ class Simulator:
             self.now = time_ns
             event.fired = True
             self._events_processed += 1
-            if sanitizer is not None:
-                sanitizer.observe(time_ns, _seq, event.fn)
+            if self._sanitizer is not None:
+                self._sanitizer.observe(time_ns, seq, event.fn)
             event.fn(*event.args)
             return True
         return False
@@ -437,20 +429,27 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if self._sanitizer is not None:
-            # The sanitized loop pays an observe() per event; keeping
-            # it out of line leaves the default hot loops untouched.
-            self._run_sanitized(until_ns)
-            return
+        limit = math.inf  # no simulated time reaches it
+        if until_ns is not None:
+            if type(until_ns) is not int:
+                until_ns = _as_int_ns(until_ns)
+            if until_ns < self.now:
+                raise SimulationError(
+                    f"cannot run until t={until_ns} before now={self.now}"
+                )
+            limit = until_ns
         self._running = True
-        # The loops below are step() inlined with hoisted locals: they
-        # retire the vast majority of all events, so attribute lookups
-        # and the extra method call per event are worth eliminating.
-        queue = self._queue
-        pop = _heappop
         try:
-            if until_ns is None:
-                while queue:
+            if self._sanitizer is not None:
+                while self.step(limit):
+                    pass
+            else:
+                # step() inlined with hoisted locals: this loop retires
+                # the vast majority of all events, so attribute lookups
+                # and the extra method call per event are worth eliminating.
+                queue = self._queue
+                pop = _heappop
+                while queue and queue[0][0] <= limit:
                     time_ns, _seq, event = pop(queue)
                     event._in_heap = False
                     if event.cancelled:
@@ -460,52 +459,6 @@ class Simulator:
                     event.fired = True
                     self._events_processed += 1
                     event.fn(*event.args)
-                return
-            if type(until_ns) is not int:
-                until_ns = _as_int_ns(until_ns)
-            if until_ns < self.now:
-                raise SimulationError(
-                    f"cannot run until t={until_ns} before now={self.now}"
-                )
-            while queue and queue[0][0] <= until_ns:
-                time_ns, _seq, event = pop(queue)
-                event._in_heap = False
-                if event.cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                self.now = time_ns
-                event.fired = True
-                self._events_processed += 1
-                event.fn(*event.args)
-            self.now = until_ns
-        finally:
-            self._running = False
-
-    def _run_sanitized(self, until_ns: int | None) -> None:
-        """The :meth:`run` loop with per-dispatch sanitizer observation."""
-        self._running = True
-        sanitizer = self._sanitizer
-        try:
-            if until_ns is not None:
-                if type(until_ns) is not int:
-                    until_ns = _as_int_ns(until_ns)
-                if until_ns < self.now:
-                    raise SimulationError(
-                        f"cannot run until t={until_ns} before now={self.now}"
-                    )
-            queue = self._queue
-            pop = _heappop
-            while queue and (until_ns is None or queue[0][0] <= until_ns):
-                time_ns, _seq, event = pop(queue)
-                event._in_heap = False
-                if event.cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                self.now = time_ns
-                event.fired = True
-                self._events_processed += 1
-                sanitizer.observe(time_ns, _seq, event.fn)
-                event.fn(*event.args)
             if until_ns is not None:
                 self.now = until_ns
         finally:

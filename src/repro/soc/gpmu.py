@@ -146,7 +146,7 @@ class Gpmu(PackageController):
         barrier = _Barrier()
         barrier.add()
         self.clm.ret.set(True)
-        self._on_pwr_ok(barrier.done)
+        self._on_pwr_ok(self.clm.pwr_ok, barrier.done)
         yield from barrier.wait()
         yield Delay(timings.firmware_step_ns)
         self.pc6_entries += 1
@@ -167,7 +167,7 @@ class Gpmu(PackageController):
             pll.power_on(barrier.done)
         barrier.add()
         self.clm.ret.set(False)
-        self._on_pwr_ok(barrier.done)
+        self._on_pwr_ok(self.clm.pwr_ok, barrier.done)
         yield from barrier.wait()
         self.clm.clock_tree.clk_gate.set(False)
         yield Delay(self.clm.clock_tree.gate_latency_ns)
@@ -201,20 +201,6 @@ class Gpmu(PackageController):
         if self.all_cc6.value and not self._flow_active:
             self._flow_active = True
             Process(self.sim, self._entry_flow(), name="gpmu-entry")
-
-    # -- helpers ----------------------------------------------------------
-    def _on_pwr_ok(self, fn) -> None:
-        """Run ``fn`` once the CLM FIVRs report a stable voltage."""
-        if self.clm.pwr_ok.value:
-            fn()
-            return
-
-        def watcher(signal, old, new):
-            if new:
-                self.clm.pwr_ok.unwatch(watcher)
-                fn()
-
-        self.clm.pwr_ok.watch(watcher)
 
 
 class _Barrier:

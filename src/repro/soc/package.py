@@ -22,6 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable
 
+from repro.hw.signals import Signal
 from repro.power.residency import ResidencyCounter
 from repro.sim.engine import Simulator
 
@@ -83,6 +84,19 @@ class PackageController:
         waiters, self._wake_waiters = self._wake_waiters, []
         for callback in waiters:
             callback()
+
+    def _on_pwr_ok(self, pwr_ok: Signal, fn: Callable[[], None]) -> None:
+        """Run ``fn`` once ``pwr_ok`` reports a stable voltage (now if it does)."""
+        if pwr_ok.value:
+            fn()
+            return
+
+        def watcher(signal: Signal, old: bool, new: bool) -> None:
+            if new:
+                pwr_ok.unwatch(watcher)
+                fn()
+
+        pwr_ok.watch(watcher)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"{type(self).__name__}(state={self.package_state!r})"

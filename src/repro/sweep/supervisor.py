@@ -54,6 +54,15 @@ from typing import Any, Callable, Iterable, Iterator
 #: immediately via the worker pipes, untouched by this granularity).
 _TICK_S = 0.05
 
+#: Dispatch pipelining: cells queued per worker (the head runs, the
+#: rest wait in the worker's pipe). Depth 2 hides the result/next-job
+#: round trip on short cells; a worker death charges an attempt only
+#: to the head — queued cells requeue for free.
+PREFETCH = 2
+
+#: Ceiling of the exponential respawn backoff after worker deaths.
+RESPAWN_BACKOFF_CAP_S = 2.0
+
 #: Failure kinds recorded in attempt histories.
 KIND_ERROR = "error"  # the cell raised
 KIND_DEATH = "worker-death"  # the worker process died mid-cell
@@ -81,19 +90,10 @@ class CellPolicy:
     deadline_s: float | None = None
     on_exhausted: str = "quarantine"
     respawn_backoff_s: float = 0.1
-    respawn_backoff_cap_s: float = 2.0
-    #: Dispatch pipelining: cells queued per worker (the head runs,
-    #: the rest wait in the worker's pipe). Depth 2 hides the
-    #: result/next-job round trip on short cells; a worker death
-    #: charges an attempt only to the head — queued cells requeue
-    #: for free.
-    prefetch: int = 2
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.prefetch < 1:
-            raise ValueError(f"prefetch must be >= 1, got {self.prefetch}")
         if self.retry_backoff_s < 0:
             raise ValueError(
                 f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
@@ -380,7 +380,7 @@ class SweepSupervisor:
         self._respawn_streak = 0
         self._deaths_unreplaced = 0
         self._respawn_at = 0.0
-        self._depth = self.policy.prefetch
+        self._depth = PREFETCH
         # Results per worker message: batching amortizes parent
         # wake-ups, but an armed deadline needs per-cell reports for
         # exact per-cell timing. The progress side-pipe rides on fd
@@ -470,7 +470,7 @@ class SweepSupervisor:
         self._respawn_streak += 1
         self._deaths_unreplaced += 1
         delay = min(
-            self.policy.respawn_backoff_cap_s,
+            RESPAWN_BACKOFF_CAP_S,
             self.policy.respawn_backoff_s * (2 ** (self._respawn_streak - 1)),
         )
         self._respawn_at = time.monotonic() + delay
@@ -538,7 +538,7 @@ class SweepSupervisor:
         # (more workers than cores) is time-slice-equalized anyway —
         # queue one worker's whole share and save the round trips,
         # exactly the old pool's chunksize policy.
-        self._depth = policy.prefetch
+        self._depth = PREFETCH
         if self.size > (os.cpu_count() or 1):
             self._depth = max(self._depth, -(-total // max(1, self.size)))
         retry_heap: list[tuple[float, int, tuple[str, str, Any, int]]] = []

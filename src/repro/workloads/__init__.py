@@ -40,11 +40,9 @@ from repro.workloads.nginx import NginxWorkload
 from repro.workloads.replay import TraceReplayWorkload, load_trace
 from repro.workloads.rpcfanout import RpcFanoutWorkload
 from repro.workloads.upi_traffic import CompositeWorkload, UpiSnoopTraffic
-from repro.workloads.factory import build_workload
 
 
 __all__ = [
-    "build_workload",
     "Request",
     "Workload",
     "NullWorkload",

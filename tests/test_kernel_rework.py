@@ -142,7 +142,7 @@ class TestIntegralTimes:
             sim.schedule(2.7, lambda: None)  # repro-lint: ignore[RPR002]
 
     def test_schedule_at_rejects_fractional_time(self, sim):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match=r"whole nanoseconds, got 10\.5"):
             sim.schedule_at(10.5, lambda: None)  # repro-lint: ignore[RPR002]
 
     def test_schedule_rejects_non_numeric(self, sim):

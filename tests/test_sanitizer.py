@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cell import measure_window
+from repro.fleet import FleetCell, FleetMachine, flatten_fleet_result
 from repro.lint import RoundTripReport, verify_recycle_roundtrip
+from repro.scenarios.registry import build
 from repro.server.configs import cpc1a
 from repro.server.machine import ServerMachine
 from repro.server.recycle import CheckpointError
@@ -22,8 +25,8 @@ from repro.sim.sanitize import (
     SanitizerReport,
     callback_label,
 )
+from repro.sweep import ExperimentSpec, flatten_result
 from repro.units import MS
-from repro.workloads.factory import build_workload
 
 
 def handler_a():
@@ -195,10 +198,72 @@ class TestSeededFaultSetOrderedScheduling:
         assert detail.events == 2
 
 
+def _plain_and_sanitized(cell, build, flatten):
+    """(result row, kernel stats) of ``cell``'s window, sanitize off then on."""
+    outcomes = []
+    for sanitize in (False, True):
+        runtime = build(sanitize)
+        workload = cell.build_workload()
+        measure_window(runtime, workload, cell.duration_ns, cell.warmup_ns)
+        row = flatten(cell.collect(runtime, workload), spec=cell)
+        outcomes.append((row, runtime.sim.kernel_stats()))
+    _, (_, sanitized_stats) = outcomes
+    # The sanitizer saw every event the sanitized run dispatched.
+    report = runtime.sim.sanitize_report()
+    assert report.events == sanitized_stats["events_processed"]
+    return outcomes
+
+
+class TestSanitizedRunMatchesPlain:
+    """Sanitize mode dispatches through ``step`` yet ends where ``run`` does."""
+
+    def _bounded_run(self, sanitize):
+        sim = Simulator(seed=0, sanitize=sanitize)
+        fired = []
+        sim.schedule(10, fired.append, 10)
+        sim.schedule(30, fired.append, 30).cancel()
+        sim.schedule(40, fired.append, 40)
+        sim.run(20)
+        return sim.kernel_stats(), fired
+
+    def test_bound_leaves_cancelled_entries_past_it(self):
+        # The cancelled entry at 30 lies past the bound: both modes
+        # leave it queued (a peek()-driven loop would retire it).
+        plain = self._bounded_run(False)
+        assert plain == self._bounded_run(True)
+        assert plain[1] == [10]
+        assert plain[0]["heap_size"] == 2 and plain[0]["cancelled_in_heap"] == 1
+
+    def test_cpc1a_machine_window(self):
+        cell = ExperimentSpec(
+            workload="memcached", qps=50_000.0, preset="low", config="CPC1A",
+            seed=3, duration_ns=8 * MS, warmup_ns=2 * MS,
+        )
+        plain, sanitized = _plain_and_sanitized(
+            cell,
+            lambda on: ServerMachine(cell.build_config(), seed=cell.seed, sanitize=on),
+            flatten_result,
+        )
+        assert plain == sanitized
+
+    def test_sleepscale_fleet_window(self):
+        cell = FleetCell(
+            workload="memcached-diurnal", qps=20_000.0, preset="low",
+            machine="CPC1A", n_servers=8, routing="least-outstanding",
+            seed=3, duration_ns=8 * MS, warmup_ns=2 * MS, control="sleepscale",
+        )
+        plain, sanitized = _plain_and_sanitized(
+            cell,
+            lambda on: FleetMachine(cell.cluster(), seed=cell.seed, sanitize=on),
+            flatten_fleet_result,
+        )
+        assert plain == sanitized
+
+
 class TestRecycleRoundTrip:
     def test_memcached_roundtrip_matches(self):
         report = verify_recycle_roundtrip(
-            lambda: build_workload("memcached", qps=2000.0),
+            lambda: build("memcached", qps=2000.0),
             cpc1a(),
             seed=7,
             duration_ns=5 * MS,

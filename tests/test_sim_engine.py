@@ -42,7 +42,7 @@ class TestScheduling:
     def test_scheduling_in_the_past_rejected(self, sim):
         sim.schedule(100, lambda: None)
         sim.run()
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="at t=50 before now=100"):
             sim.schedule_at(50, lambda: None)
 
     def test_callback_args_passed_through(self, sim):
@@ -160,6 +160,17 @@ class TestIntrospection:
         sim.schedule(20, log.append, "b")
         assert sim.step() is True
         assert log == ["a"]
+
+    def test_step_bound_retires_cancelled_and_keeps_later_events(self, sim):
+        log = []
+        sim.schedule(10, log.append, "dead").cancel()
+        sim.schedule(30, log.append, "live")
+        assert sim.step(20) is False
+        assert sim.now == 0 and log == []
+        stats = sim.kernel_stats()
+        assert stats["heap_size"] == 1 and stats["cancelled_in_heap"] == 0
+        assert sim.step(30) is True
+        assert log == ["live"] and sim.now == 30
 
 
 class TestDeterminism:
