@@ -2,8 +2,8 @@
 
 Every bench regenerates one table or figure of the paper: it runs the
 relevant experiments, renders a paper-vs-measured report, prints it
-(visible with ``pytest -s``) and saves it under ``results/`` so
-EXPERIMENTS.md can reference the exact artifacts.
+(visible with ``pytest -s``) and saves it as ``results/<name>.txt``,
+the paper-vs-measured record of that table or figure.
 
 Sweep-shaped benches (Figs. 7-9) go through :func:`run_bench_sweep`,
 which fans cells out over one shared

@@ -1,4 +1,4 @@
-"""Ablations of APC's design choices (DESIGN.md Sec. 7).
+"""Ablations of APC's design choices.
 
 Each ablation quantifies one of the paper's trades:
 

@@ -13,8 +13,9 @@ Datacenter Servers* (MICRO 2022). The headline entry points:
 >>> apc.total_power_w < base.total_power_w
 True
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+The benches under ``benchmarks/`` regenerate each table and figure
+as a paper-vs-measured report in ``results/<name>.txt``; ``docs/``
+covers the sweep, fleet, control and property layers.
 """
 
 from repro.core import (

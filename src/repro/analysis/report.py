@@ -2,7 +2,7 @@
 
 Everything the benches print goes through these helpers so the
 paper-vs-measured output has one consistent format in bench logs and
-EXPERIMENTS.md.
+the ``results/<name>.txt`` reports.
 """
 
 from __future__ import annotations

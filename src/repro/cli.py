@@ -95,6 +95,7 @@ from typing import Any, Callable, Sequence
 from repro import scenarios as scenario_registry
 from repro.analysis.report import PaperComparison, comparison_table, format_table
 from repro.analysis.savings import savings_between
+from repro.cell import run_cell
 from repro.core.area import SkxAreaModel
 from repro.core.latency import Pc1aLatencyModel
 from repro.props import (
@@ -106,8 +107,7 @@ from repro.props import (
     render_value,
 )
 from repro.scenarios import scenario_names
-from repro.server.configs import CONFIG_BUILDERS, config_by_name
-from repro.server.experiment import ExperimentResult, run_experiment
+from repro.server.experiment import ExperimentResult
 from repro.sweep import (
     CellPolicy,
     ExperimentSpec,
@@ -124,7 +124,6 @@ from repro.sweep import (
     preset_points,
 )
 from repro.units import MS
-from repro.workloads.base import NullWorkload
 
 #: Historical grid defaults (memcached's rate axis; mysql/kafka's
 #: shared presets) used when neither ``--scenario`` nor an explicit
@@ -427,49 +426,53 @@ def summarize(result: ExperimentResult) -> str:
     return format_table(["metric", "value"], rows)
 
 
-def _run_window(args: argparse.Namespace) -> tuple[int, int]:
-    """run/compare's (duration, warmup) in ns, checked before any run."""
+def _run_cells(
+    args: argparse.Namespace, configs: Sequence[str]
+) -> list[ExperimentSpec]:
+    """run/compare's cells, one per config, all checked before any run.
+
+    The window is checked first, so its errors name the flag.
+    """
     if args.duration_ms <= 0:
         raise SystemExit(f"--duration-ms must be positive, got {args.duration_ms}")
     if args.warmup_ms < 0:
         raise SystemExit(f"--warmup-ms must be non-negative, got {args.warmup_ms}")
-    return args.duration_ms * MS, args.warmup_ms * MS
-
-
-def _build_cli_workload(args: argparse.Namespace):
-    """Build the run/compare workload with CLI-friendly errors."""
     try:
-        return scenario_registry.build(args.workload, args.qps, args.preset)
+        return [
+            ExperimentSpec(
+                workload=args.workload,
+                qps=args.qps,
+                preset=args.preset,
+                config=config,
+                seed=args.seed,
+                duration_ns=args.duration_ms * MS,
+                warmup_ns=args.warmup_ms * MS,
+            )
+            for config in configs
+        ]
     except (KeyError, ValueError, OSError) as error:
         # OSError: a trace workload naming a missing/unreadable file.
         raise SystemExit(f"invalid workload: {error}") from None
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    duration_ns, warmup_ns = _run_window(args)
-    workload = _build_cli_workload(args)
-    result = run_experiment(
-        workload, config_by_name(args.config),
-        duration_ns=duration_ns, warmup_ns=warmup_ns, seed=args.seed,
+def _idle_cell(config: str, seed: int) -> ExperimentSpec:
+    """idle/validate's cell: the fully idle server, 20 ms after 5 ms."""
+    return ExperimentSpec(
+        workload="idle", qps=0.0, preset="low", config=config, seed=seed,
+        duration_ns=20 * MS, warmup_ns=5 * MS,
     )
-    print(summarize(result))
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    (cell,) = _run_cells(args, [args.config])
+    print(summarize(run_cell(cell)))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    duration_ns, warmup_ns = _run_window(args)
-    _build_cli_workload(args)  # validate before the first full run
-    results = {}
-    for name in ("Cshallow", "CPC1A"):
-        results[name] = run_experiment(
-            _build_cli_workload(args),
-            config_by_name(name),
-            duration_ns=duration_ns,
-            warmup_ns=warmup_ns,
-            seed=args.seed,
-        )
-    point = savings_between(results["Cshallow"], results["CPC1A"])
-    print(summarize(results["CPC1A"]))
+    base, apc = (run_cell(cell) for cell in _run_cells(args, ["Cshallow", "CPC1A"]))
+    point = savings_between(base, apc)
+    print(summarize(apc))
     print(f"\npower savings vs Cshallow: {point.savings_percent:.1f}% "
           f"({point.saved_watts:.2f} W)")
     return 0
@@ -477,11 +480,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_idle(args: argparse.Namespace) -> int:
     rows = []
-    for name in CONFIG_BUILDERS:
-        result = run_experiment(
-            NullWorkload(), config_by_name(name),
-            duration_ns=20 * MS, warmup_ns=5 * MS, seed=args.seed,
-        )
+    for name in preset_names():
+        result = run_cell(_idle_cell(name, args.seed))
         rows.append([
             name,
             result.package_residency and max(
@@ -1051,10 +1051,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     comparisons = []
     for name, paper in (("Cshallow", 49.5), ("Cdeep", 12.5), ("CPC1A", 29.1)):
-        result = run_experiment(
-            NullWorkload(), config_by_name(name),
-            duration_ns=20 * MS, warmup_ns=5 * MS, seed=1,
-        )
+        result = run_cell(_idle_cell(name, seed=1))
         comparisons.append(PaperComparison(
             f"idle power {name}", paper, result.total_power_w,
             unit=" W", rel_tolerance=0.05,
@@ -1125,7 +1122,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_parser = sub.add_parser("run", help="run one experiment")
     _add_run_args(run_parser)
     run_parser.add_argument(
-        "--config", default="CPC1A", choices=sorted(CONFIG_BUILDERS)
+        "--config", default="CPC1A", choices=sorted(preset_names())
     )
     run_parser.set_defaults(fn=cmd_run)
 

@@ -38,24 +38,24 @@ from typing import Callable
 
 import numpy as np
 
-from repro.control.controllers import CONTROL_POLICIES
 from repro.control.plane import ControlPlane
-from repro.fleet.routing import ROUTING_POLICIES, LoadBalancer
+from repro.fleet.routing import LoadBalancer
 from repro.fleet.state import FleetState
 from repro.hw.signals import Signal
 from repro.power.meter import PowerMeter
-from repro.props import render_overrides, resolve_config
+from repro.props import (
+    PropPairs,
+    config_axis_label,
+    get_prop,
+    merge_props,
+    normalize_props,
+    resolve_config,
+)
 from repro.server.configs import MachineConfig
 from repro.server.machine import ServerMachine
 from repro.server.recycle import MachineCheckpoint
 from repro.server.stats import MachineStats
 from repro.sim.engine import Simulator
-from repro.sweep.spec import (
-    PropPairs,
-    merge_props,
-    normalize_control_props,
-    normalize_props,
-)
 from repro.units import US
 from repro.workloads.base import Request
 
@@ -81,7 +81,9 @@ class ClusterConfig:
 
     Plain data by design (like :class:`MachineConfig`): a cluster is
     named by its single-machine config plus the fleet-level knobs, so
-    it pickles into sweep cells and hashes into cache keys.
+    it pickles into sweep cells and hashes into cache keys. Each knob
+    is validated by its ``fleet.*`` registry row, the check ``--set``
+    applies to the same property.
     """
 
     machine: str = "CPC1A"
@@ -93,7 +95,7 @@ class ClusterConfig:
     #: spills to the next one (0 = one slot per core).
     pack_watermark: int = 0
     #: Platform-property overrides applied to *every* server (the
-    #: canonical pairs :func:`~repro.sweep.spec.normalize_props`
+    #: canonical pairs :func:`~repro.props.normalize_props`
     #: produces; accepts mappings too).
     props: PropPairs = ()
     #: Per-server overrides for heterogeneous fleets: one entry per
@@ -106,71 +108,55 @@ class ClusterConfig:
     control: str = "static"
     #: Controller knob overrides (``fleet.control_period_ns``,
     #: ``fleet.slo_p99_ns``, ``fleet.park_*``, ``fleet.gate_*``) in
-    #: the canonical pairs :func:`normalize_control_props` produces.
+    #: the canonical pairs ``normalize_props(..., control=True)``
+    #: produces.
     #: Forced empty under ``static`` (no controller reads them), so
     #: cache keys stay canonical.
     control_props: PropPairs = ()
 
     def __post_init__(self) -> None:
         resolve_config(self.machine)  # friendly unknown-config error
+        for name in ("n_servers", "routing", "dispatch_latency_ns",
+                     "pack_watermark", "control"):
+            get_prop(f"fleet.{name}").validate(getattr(self, name))
         object.__setattr__(self, "props", normalize_props(self.props))
         object.__setattr__(
             self,
             "server_props",
             tuple(normalize_props(p) for p in self.server_props),
         )
-        if self.control not in CONTROL_POLICIES:
-            raise ValueError(
-                f"unknown control policy {self.control!r}; "
-                f"have {CONTROL_POLICIES}"
-            )
         object.__setattr__(
             self,
             "control_props",
             ()
             if self.control == "static"
-            else normalize_control_props(self.control_props),
+            else normalize_props(self.control_props, control=True),
         )
-        if self.n_servers < 1:
-            raise ValueError(f"a fleet needs at least one server, got {self.n_servers}")
         if self.server_props and len(self.server_props) != self.n_servers:
             raise ValueError(
                 f"server_props must carry one entry per server: got "
                 f"{len(self.server_props)} for {self.n_servers} servers"
-            )
-        if self.routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing policy {self.routing!r}; have {ROUTING_POLICIES}"
-            )
-        if self.dispatch_latency_ns < 0:
-            raise ValueError(
-                f"dispatch latency cannot be negative: {self.dispatch_latency_ns}"
-            )
-        if self.pack_watermark < 0:
-            raise ValueError(
-                f"pack watermark cannot be negative: {self.pack_watermark} "
-                "(0 = one slot per core)"
             )
         # Hybrid configs only fail when built (cross-field constraints
         # like "CPC1A forbids CC6") — fail at construction, not inside
         # a worker pool. Each *distinct* per-server resolution is built
         # once: a homogeneous 1,000-server cluster validates one
         # config, not one thousand.
-        if not self.server_props:
-            self.build_machine_config(0)
-        else:
-            seen: set[PropPairs] = set()
-            for index in range(self.n_servers):
-                pairs = self.props_for_server(index)
-                if pairs not in seen:
-                    seen.add(pairs)
-                    self.build_machine_config(index)
+        for pairs in dict.fromkeys(self.server_lineup()):
+            resolve_config(self.machine, pairs)
 
     def props_for_server(self, index: int) -> PropPairs:
         """The merged override pairs applied to server ``index``."""
         if not self.server_props:
             return self.props
         return merge_props(self.props, self.server_props[index])
+
+    def server_lineup(self) -> tuple[PropPairs, ...]:
+        """Every server's merged override pairs, in server order; a
+        homogeneous cluster lists its one set once."""
+        if not self.server_props:
+            return (self.props,)
+        return tuple(merge_props(self.props, extra) for extra in self.server_props)
 
     def build_machine_config(self, index: int = 0) -> MachineConfig:
         """The machine configuration of server ``index``.
@@ -182,10 +168,7 @@ class ClusterConfig:
 
     def is_heterogeneous(self) -> bool:
         """Whether servers differ in their resolved configuration."""
-        if not self.server_props:
-            return False
-        return len({self.props_for_server(i)
-                    for i in range(self.n_servers)}) > 1
+        return len(set(self.server_lineup())) > 1
 
     def resolved_pack_watermark(self) -> int:
         """The watermark ``power-aware-pack`` actually applies.
@@ -202,9 +185,7 @@ class ClusterConfig:
 
     def label(self) -> str:
         """Short human label (``CPC1Ax16/power-aware-pack``)."""
-        base = self.machine
-        if self.props:
-            base = f"{base}+{render_overrides(dict(self.props))}"
+        base = config_axis_label(self.machine, self.props)
         suffix = "/mixed" if self.server_props else ""
         if self.control != "static":
             suffix += f"/{self.control}"

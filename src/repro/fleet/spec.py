@@ -13,21 +13,13 @@ CSV, and progress/stats plumbing.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from typing import Any
 
 from repro.fleet.cluster import ClusterConfig, FleetMachine
 from repro.fleet.result import FleetResult
-from repro.props import resolve_config
-from repro.sweep.spec import (
-    PropPairs,
-    WorkloadPoint,
-    _normalize_scenario,
-    canonical_point,
-    normalize_props,
-    resolve_window,
-)
+from repro.props import PropPairs, resolve_config
+from repro.sweep.spec import CellCore, GridCore, WorkloadPoint, resolve_window
 from repro.units import US
 from repro.workloads.base import Workload
 
@@ -45,7 +37,7 @@ FLEET_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
-class FleetCell:
+class FleetCell(CellCore):
     """One fully-determined fleet sweep cell (a single fleet run)."""
 
     workload: str
@@ -72,47 +64,22 @@ class FleetCell:
     control_props: PropPairs = ()
 
     def __post_init__(self) -> None:
-        workload, scenario = _normalize_scenario(self.workload, self.scenario)
-        object.__setattr__(self, "workload", workload)
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "props", normalize_props(self.props))
-        object.__setattr__(
-            self,
-            "server_props",
-            tuple(normalize_props(p) for p in self.server_props),
-        )
-        # Validates machine/n_servers/routing/dispatch latency/control
-        # and builds every per-server hybrid config once. The cluster
-        # also canonicalizes the control axis; fold its normal form
-        # back so the cell's identity (and key payload) match it.
-        cluster = self.cluster()
-        object.__setattr__(self, "control_props", cluster.control_props)
-        if self.duration_ns <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_ns}")
-        if self.warmup_ns < 0:
-            raise ValueError(f"warmup must be non-negative, got {self.warmup_ns}")
-        object.__setattr__(self, "qps", float(self.qps))
+        self._check_cell()
+        # The cell's cluster fields are a ClusterConfig's. The cluster
+        # validates them and builds every per-server hybrid config,
+        # once; the cell keeps it and takes its normal forms (override
+        # pairs, the control axis), so the cell's identity and key
+        # payload match it.
+        shape = {f.name: getattr(self, f.name) for f in fields(ClusterConfig)}
+        cluster = ClusterConfig(**shape)
+        for name in shape:
+            object.__setattr__(self, name, getattr(cluster, name))
+        object.__setattr__(self, "_cluster", cluster)
 
     # -- construction ------------------------------------------------------
     def cluster(self) -> ClusterConfig:
-        """Instantiate the cell's cluster configuration."""
-        return ClusterConfig(
-            machine=self.machine,
-            n_servers=self.n_servers,
-            routing=self.routing,
-            dispatch_latency_ns=self.dispatch_latency_ns,
-            pack_watermark=self.pack_watermark,
-            props=self.props,
-            server_props=self.server_props,
-            control=self.control,
-            control_props=self.control_props,
-        )
-
-    def build_workload(self) -> Workload:
-        """Instantiate the cell's workload (one stream for the fleet)."""
-        from repro.scenarios import registry as scenarios
-
-        return scenarios.build(self.scenario, self.qps, self.preset)
+        """The cell's cluster configuration (built at construction)."""
+        return self._cluster  # type: ignore[attr-defined]
 
     # -- cell protocol (repro.cell) ----------------------------------------
     def build(self) -> FleetMachine:
@@ -156,67 +123,27 @@ class FleetCell:
         :class:`~repro.sweep.spec.ExperimentSpec`)."""
         return self.machine
 
-    @property
-    def preset_label(self) -> str:
-        """The preset, when it selects this cell's operating point."""
-        from repro.scenarios import registry as scenarios
-
-        return self.preset if scenarios.get(self.scenario).uses_preset else ""
-
-    def as_dict(self) -> dict:
-        """Plain-data form (JSON- and pickle-friendly)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetCell":
-        """Inverse of :meth:`as_dict`."""
-        return cls(**data)
-
-    def key(self) -> str:
-        """Content hash identifying this cell in a result store.
-
-        Canonicalizes the workload point exactly like single-machine
-        cells (rate 0 == idle, trace contents, preset relevance) and
-        folds the whole cluster shape in, so two routings of one load
-        are distinct cells while alias spellings of one physical fleet
-        experiment share an entry. The servers enter the hash as their
-        *resolved platform property sets* (schema v2): a homogeneous
-        fleet contributes one set, a heterogeneous one a per-server
-        list, and ``machine="CPC1A"`` keys identically to
-        ``machine="Cshallow", props=(("package_policy", "pc1a"),)``.
-        """
-        cached = getattr(self, "_key", None)
-        if cached is not None:
-            return cached
+    def _key_fields(self) -> dict[str, Any]:
+        # The whole cluster shape is folded in, so two routings of one
+        # load are distinct cells while alias spellings of one physical
+        # fleet experiment share an entry. The servers enter as their
+        # *resolved platform property sets* (schema v2), so
+        # ``machine="CPC1A"`` keys identically to ``machine="Cshallow",
+        # props=(("package_policy", "pc1a"),)``. A homogeneous fleet is
+        # one set plus the count, so neither key size nor key *cost*
+        # scales with fleet size; a per-server list collapses to one
+        # set when every entry matches.
         cluster = self.cluster()
-        if not self.server_props:
-            # Homogeneous: one set + the count, so neither key size
-            # nor key *cost* scales with fleet size.
-            servers: object = {
-                "all": resolve_config(self.machine, self.props).props.as_dict()
-            }
+        sets = [
+            resolve_config(self.machine, pairs).props
+            for pairs in cluster.server_lineup()
+        ]
+        if all(s == sets[0] for s in sets[1:]):
+            servers: dict[str, Any] = {"all": sets[0].as_dict()}
         else:
-            # Render each distinct per-server override set once; the
-            # per-server list still collapses when everything matches
-            # (a 1-entry server_props spelling of a homogeneous fleet
-            # cannot fork the key).
-            sets_by_pairs: dict[PropPairs, dict] = {}
-            server_sets = []
-            for index in range(self.n_servers):
-                pairs = cluster.props_for_server(index)
-                resolved = sets_by_pairs.get(pairs)
-                if resolved is None:
-                    resolved = sets_by_pairs[pairs] = (
-                        resolve_config(self.machine, pairs).props.as_dict()
-                    )
-                server_sets.append(resolved)
-            if all(s == server_sets[0] for s in server_sets[1:]):
-                servers = {"all": server_sets[0]}
-            else:
-                servers = {"each": server_sets}
-        payload = {
+            servers = {"each": [s.as_dict() for s in sets]}
+        return {
             "fleet_schema": FLEET_SCHEMA_VERSION,
-            **canonical_point(self.scenario, self.qps, self.preset),
             "servers": servers,
             "n_servers": self.n_servers,
             "routing": self.routing,
@@ -230,27 +157,16 @@ class FleetCell:
                 if self.routing == "power-aware-pack"
                 else 0
             ),
-            "seed": self.seed,
-            "duration_ns": self.duration_ns,
-            "warmup_ns": self.warmup_ns,
             "control": self.control,
             "control_props": dict(self.control_props),
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(blob.encode()).hexdigest()[:24]
-        object.__setattr__(self, "_key", digest)
-        return digest
 
-    def label(self) -> str:
-        """Short human label for logs and progress lines."""
-        point = WorkloadPoint(
-            self.workload, self.qps, self.preset, scenario=self.scenario
-        )
-        return f"{self.cluster().label()}/{point.label()}/seed{self.seed}"
+    def _axis_label(self) -> str:
+        return self.cluster().label()
 
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(GridCore):
     """A declarative fleet experiment grid.
 
     Expansion order is deterministic: clusters (outermost) x workload
@@ -265,69 +181,40 @@ class FleetSpec:
     warmup_ns: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.workloads:
-            raise ValueError("a fleet sweep needs at least one workload point")
-        if not self.clusters:
-            raise ValueError("a fleet sweep needs at least one cluster")
-        if not self.seeds:
-            raise ValueError("a fleet sweep needs at least one seed")
-        for label, values in (
-            ("seeds", self.seeds),
-            ("clusters", self.clusters),
-            ("workload points", self.workloads),
-        ):
-            if len(set(values)) != len(values):
-                raise ValueError(f"duplicate {label} in fleet sweep: {values}")
-        if self.duration_ns is not None and self.duration_ns <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_ns}")
-        keys = [cell.key() for cell in self.cells()]
-        if len(set(keys)) != len(keys):
-            raise ValueError(
-                "fleet sweep contains equivalent spellings of the same "
-                "experiment (e.g. two rate-0 points of different scenarios)"
-            )
+        self._check_grid(
+            "fleet sweep",
+            (
+                ("workload point", self.workloads),
+                ("cluster", self.clusters),
+                ("seed", self.seeds),
+            ),
+            "e.g. two rate-0 points of different scenarios",
+        )
 
-    def cells(self) -> list[FleetCell]:
-        """Expand the grid into its fleet cells (cached; spec is frozen)."""
-        cached = getattr(self, "_expanded", None)
-        if cached is None:
-            cached = []
-            for cluster in self.clusters:
-                # Default windows are sized to the *per-server* rate:
-                # the point's QPS is aggregate fleet load, but idle
-                # periods (the thing long windows exist to observe)
-                # accrue per server.
-                windows = [
-                    resolve_window(
-                        point,
-                        self.duration_ns,
-                        self.warmup_ns,
-                        rate_divisor=cluster.n_servers,
-                    )
-                    for point in self.workloads
-                ]
-                for point, (duration, warmup) in zip(self.workloads, windows):
-                    for seed in self.seeds:
-                        cached.append(FleetCell(
-                            workload=point.workload,
-                            qps=point.qps,
-                            preset=point.preset,
-                            machine=cluster.machine,
-                            n_servers=cluster.n_servers,
-                            routing=cluster.routing,
-                            seed=seed,
-                            duration_ns=duration,
-                            warmup_ns=warmup,
-                            dispatch_latency_ns=cluster.dispatch_latency_ns,
-                            pack_watermark=cluster.pack_watermark,
-                            scenario=point.scenario,
-                            props=cluster.props,
-                            server_props=cluster.server_props,
-                            control=cluster.control,
-                            control_props=cluster.control_props,
-                        ))
-            object.__setattr__(self, "_expanded", cached)
-        return list(cached)
-
-    def __len__(self) -> int:
-        return len(self.clusters) * len(self.workloads) * len(self.seeds)
+    def _expand(self) -> list[FleetCell]:
+        cells = []
+        for cluster in self.clusters:
+            # Default windows are sized to the *per-server* rate: the
+            # point's QPS is aggregate fleet load, but idle periods
+            # (the thing long windows exist to observe) accrue per
+            # server.
+            shape = {f.name: getattr(cluster, f.name) for f in fields(cluster)}
+            for point in self.workloads:
+                duration, warmup = resolve_window(
+                    point,
+                    self.duration_ns,
+                    self.warmup_ns,
+                    rate_divisor=cluster.n_servers,
+                )
+                for seed in self.seeds:
+                    cells.append(FleetCell(
+                        workload=point.workload,
+                        qps=point.qps,
+                        preset=point.preset,
+                        seed=seed,
+                        duration_ns=duration,
+                        warmup_ns=warmup,
+                        scenario=point.scenario,
+                        **shape,
+                    ))
+        return cells

@@ -4,8 +4,8 @@ This package provides the signal-level vocabulary of the paper's
 Fig. 3: boolean :class:`~repro.hw.signals.Signal` wires, the AND-gate
 aggregation trees used for ``InCC1`` and ``InL0s``
 (:class:`~repro.hw.signals.AndTree`), and a small timed finite state
-machine base class (:class:`~repro.hw.fsm.TimedFsm`) used by the
-LTSSM, the GPMU package flow and the APMU.
+machine base class (:class:`~repro.hw.fsm.TimedFsm`) that the link
+LTSSM (:class:`~repro.iolink.ltssm.Ltssm`) is built on.
 """
 
 from repro.hw.signals import AndTree, Signal, SignalError

@@ -1,8 +1,8 @@
 """A small timed finite-state-machine base class.
 
-Hardware control flows in this library (LTSSM, GPMU package flow,
-APMU PC1A flow) are FSMs whose transitions take wall-clock time. The
-:class:`TimedFsm` base provides:
+A hardware control flow whose transitions take wall-clock time is a
+timed FSM; the link LTSSM (:class:`repro.iolink.ltssm.Ltssm`) is one.
+The :class:`TimedFsm` base provides:
 
 * a current state with enter/exit hooks,
 * timed transitions (``goto(state, after_ns=...)``) that can be

@@ -19,9 +19,11 @@ bespoke dataclass field:
   count/frequency, network latency, fleet routing knobs);
 - :mod:`repro.props.pset` — :class:`PropertySet` (frozen mapping,
   canonical ordering, content hash), named presets,
-  :func:`apply_props` for hybrid configurations, and
+  :func:`apply_props` for hybrid configurations,
   :func:`resolve_config`, the shared (preset, overrides) resolution
-  sweep and fleet cells key and build from.
+  sweep and fleet cells key and build from, and the override-pair
+  algebra those cells carry (:func:`normalize_props`,
+  :func:`merge_props`, :func:`config_axis_label`).
 
 ``repro props list`` renders the registry; ``--set name=value`` on
 ``sweep``/``fleet``/``export`` grids over it. See
@@ -31,9 +33,14 @@ bespoke dataclass field:
 from repro.props import builtin as _builtin  # registers the built-ins
 from repro.props.pset import (
     PropertySet,
+    PropPairs,
+    PropValue,
     ResolvedConfig,
     apply_props,
+    config_axis_label,
     derived_config_name,
+    merge_props,
+    normalize_props,
     preset_name_for,
     preset_names,
     preset_props,
@@ -61,14 +68,19 @@ __all__ = [
     "SCOPES",
     "PropDef",
     "PropertyError",
+    "PropPairs",
+    "PropValue",
     "PropertySet",
     "ResolvedConfig",
     "all_props",
     "apply_props",
+    "config_axis_label",
     "derived_config_name",
     "fleet_props",
     "get_prop",
     "machine_props",
+    "merge_props",
+    "normalize_props",
     "preset_name_for",
     "preset_names",
     "preset_props",

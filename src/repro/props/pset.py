@@ -15,7 +15,10 @@ A :class:`PropertySet` is a frozen mapping holding one value for
 * :func:`apply_props` builds any hybrid — ``Cshallow`` +
   ``timer_tick_hz=250`` + ``cstates.cc6.enable=on`` — and
   canonicalizes the result's name back to a preset when the resolved
-  set matches one.
+  set matches one;
+* :func:`normalize_props` canonicalizes override pairs, the form
+  :func:`resolve_config` keys its cache on and every sweep and fleet
+  cell carries.
 
 The three paper configurations are registered as named presets
 (:func:`preset_names`, :func:`preset_props`).
@@ -180,6 +183,68 @@ class PropertySet(Mapping[str, Any]):
         return MachineConfig(**fields)
 
 
+# -- override pairs ----------------------------------------------------------
+
+#: A platform-property override value (parsed, not the CLI spelling).
+PropValue = bool | int | float | str
+
+#: Canonical override pairs: sorted by name, hashable, JSON-friendly.
+PropPairs = tuple[tuple[str, PropValue], ...]
+
+
+def normalize_props(props: Any, *, control: bool = False) -> PropPairs:
+    """Canonicalize property overrides into sorted, validated pairs.
+
+    Accepts a mapping or an iterable of (name, value) pairs (lists
+    survive JSON round-trips); values may be CLI string spellings.
+    Machine overrides (the default) reject fleet-scoped properties —
+    they configure a cluster, not a machine cell. ``control=True``
+    accepts only the controller knobs
+    (:data:`repro.props.builtin.CONTROL_PROP_NAMES`) and drops pairs
+    equal to the registry default, so an explicit default and an
+    omitted knob resolve to the same cache key.
+    """
+    from repro.props.builtin import CONTROL_PROP_NAMES
+
+    if props is None:
+        return ()
+    pairs = props.items() if isinstance(props, dict) else props
+    seen: dict[str, PropValue] = {}
+    for name, value in pairs:
+        if control and name not in CONTROL_PROP_NAMES:
+            raise ValueError(
+                f"'{name}' is not a controller knob; control_props "
+                f"accepts {CONTROL_PROP_NAMES}"
+            )
+        prop = get_prop(name)
+        if not control and prop.scope == "fleet":
+            raise ValueError(
+                f"property '{name}' is fleet-scoped; use it on a fleet "
+                "grid (repro fleet), not a machine cell"
+            )
+        if name in seen:
+            raise ValueError(f"duplicate property override '{name}'")
+        seen[name] = prop.parse(value)
+    return tuple(
+        sorted(
+            (name, value)
+            for name, value in seen.items()
+            if not control or value != get_prop(name).default
+        )
+    )
+
+
+def merge_props(base: PropPairs, extra: PropPairs) -> PropPairs:
+    """Merge two canonical override sets (``extra`` wins on conflict)."""
+    if not extra:
+        return base
+    if not base:
+        return extra
+    merged = dict(base)
+    merged.update(extra)
+    return tuple(sorted(merged.items()))
+
+
 # -- presets -----------------------------------------------------------------
 
 
@@ -244,13 +309,11 @@ def _presets() -> dict[str, PropertySet]:
     return _table().props
 
 
-def resolve_config(
-    name: str, overrides: tuple[tuple[str, Any], ...] = ()
-) -> ResolvedConfig:
+def resolve_config(name: str, overrides: PropPairs = ()) -> ResolvedConfig:
     """The shared resolution of preset ``name`` plus ``overrides``.
 
     ``overrides`` are canonical pairs (sorted by name, values parsed),
-    as :func:`repro.sweep.spec.normalize_props` produces them. Without
+    as :func:`normalize_props` produces them. Without
     overrides this is the preset's own resolution; a hybrid resolves
     once per preset table and is shared after that. The result equals
     ``apply_props(name, dict(overrides))`` and its property set. An
@@ -346,6 +409,13 @@ def render_overrides(pairs: Mapping[str, Any]) -> str:
     return ",".join(
         f"{name}={render_value(value)}" for name, value in sorted(pairs.items())
     )
+
+
+def config_axis_label(config: str, props: PropPairs) -> str:
+    """``Cshallow+timer_tick_hz=250``-style axis label."""
+    if not props:
+        return config
+    return f"{config}+{render_overrides(dict(props))}"
 
 
 # -- the hybrid builder ------------------------------------------------------

@@ -40,7 +40,7 @@ import importlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.workloads.base import Workload
@@ -107,6 +107,36 @@ class Scenario:
 
             return NullWorkload()
         return self.build(qps, preset)
+
+    def point_label(self, qps: float, preset: str) -> str:
+        """Short human label of one operating point (tables, progress)."""
+        if self.kind == "rate":
+            return f"{self.name}@{qps:g}" if qps else "idle"
+        if self.kind == "preset":
+            return f"{self.name}:{preset}"
+        if self.kind == "trace":
+            return f"{self.name}:{Path(preset).stem if preset else 'example'}"
+        return self.name
+
+    def key_point(self, qps: float, preset: str) -> dict[str, Any]:
+        """Canonical (scenario, qps, preset) triple for cache keys.
+
+        Different spellings of one physical operating point share a
+        cache entry: rate 0 is the idle server whatever the scenario
+        is named, the preset only counts for preset/trace-driven
+        scenarios (trace points are keyed by trace *contents*), and
+        the rate only counts for rate-driven ones.
+        """
+        if self.kind == "rate":
+            if qps == 0:
+                return {"scenario": "idle", "qps": 0.0, "preset": ""}
+            return {"scenario": self.name, "qps": qps, "preset": ""}
+        if self.kind == "preset":
+            return {"scenario": self.name, "qps": 0.0, "preset": preset}
+        if self.kind == "trace":
+            token = self.trace_token(preset)
+            return {"scenario": self.name, "qps": 0.0, "preset": token}
+        return {"scenario": self.name, "qps": 0.0, "preset": ""}
 
     def trace_token(self, preset: str) -> str:
         """Cache-key token for a trace scenario's operating point.

@@ -39,27 +39,27 @@ from repro.sweep.aggregate import (
     MetricStats,
     aggregate_over_seeds,
 )
+from repro.props import (
+    PropPairs,
+    PropValue,
+    config_axis_label,
+    merge_props,
+    normalize_props,
+)
 from repro.sweep.journal import JOURNAL_SCHEMA, JournalError, RunJournal
 from repro.sweep.session import (
     SweepCellError,
     SweepResults,
     SweepSession,
     default_workers,
-    recycling_enabled,
 )
 from repro.sweep.spec import (
     ExperimentSpec,
-    PropPairs,
-    PropValue,
     SweepSpec,
     WorkloadPoint,
-    config_axis_label,
     duration_for_rate,
     memcached_points,
-    merge_props,
-    normalize_props,
     preset_points,
-    resolved_machine_props,
     warmup_for_duration,
 )
 from repro.sweep.store import (
@@ -114,8 +114,6 @@ __all__ = [
     "merge_props",
     "normalize_props",
     "preset_points",
-    "recycling_enabled",
-    "resolved_machine_props",
     "result_from_dict",
     "result_to_dict",
     "warmup_for_duration",

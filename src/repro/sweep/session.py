@@ -39,10 +39,6 @@ charge fixed costs that rival the simulation time of an idle cell.
   IPC boundary), and the optional ``on_result`` callback sees
   finished cells in deterministic cell order without waiting for the
   whole grid.
-
-Set ``REPRO_SWEEP_RECYCLE=0`` to disable machine recycling (every
-cell builds fresh; useful for A/B measurements and as an escape
-hatch).
 """
 
 from __future__ import annotations
@@ -171,11 +167,6 @@ class SweepResults:
         return write_csv(path, self.results, columns=columns, cells=self.cells)
 
 
-def recycling_enabled() -> bool:
-    """Whether workers reuse machines (``REPRO_SWEEP_RECYCLE`` != 0)."""
-    return os.environ.get("REPRO_SWEEP_RECYCLE", "1") != "0"
-
-
 # -- per-process worker state -------------------------------------------------
 #: One warm runtime per cell warm-slot (``None`` marks a slot whose
 #: state cannot be checkpointed: build fresh every time). A slot is
@@ -217,8 +208,6 @@ def _runtime_for(spec):
     its restore step (``recycle``); this function only owns the cache
     policy.
     """
-    if not recycling_enabled():
-        return spec.build()
     slot = spec.warm_slot()
     if slot in _MACHINES:
         runtime = _MACHINES[slot]
@@ -254,25 +243,6 @@ def clear_warm_machines() -> None:
 #: store ("hit", result stays on disk), simulated and persisted it
 #: ("stored"), or simulated with no disk store in play ("fresh").
 _HIT, _STORED, _FRESH = "hit", "stored", "fresh"
-
-
-def _cell_label(spec) -> str:
-    """A human-readable cell name that never raises.
-
-    ``label()`` validates the workload, which may be the very thing
-    that failed; error messages and quarantine reports must never mask
-    the original error.
-    """
-    try:
-        return spec.label()
-    except Exception:
-        try:
-            return (
-                f"{spec.config}/{spec.scenario or spec.workload}"
-                f"@{spec.qps:g}/seed{spec.seed}"
-            )
-        except Exception:
-            return type(spec).__name__
 
 
 def _cell_task(payload, attempt: int = 1):
@@ -314,7 +284,7 @@ def _cell_task(payload, attempt: int = 1):
         raise
     except Exception as error:
         raise SweepCellError(
-            f"sweep cell {_cell_label(spec)} failed: "
+            f"sweep cell {spec.label()} failed: "
             f"{type(error).__name__}: {error}"
         ) from error
 
@@ -453,7 +423,7 @@ class SweepSession:
                 if key in journal_start:
                     journal_skipped += 1
                 if journal is not None:
-                    journal.record(key, _cell_label(cell))
+                    journal.record(key, cell.label())
                 if progress is not None:
                     progress(cell)
             else:
@@ -531,7 +501,7 @@ class SweepSession:
                 if store is not None and status == _FRESH:
                     store.put(key, result, spec=pending_by_key[key])
                 if journal is not None:
-                    journal.record(key, _cell_label(pending_by_key[key]))
+                    journal.record(key, pending_by_key[key].label())
                 flush_ready()
         except QuarantineExhausted as error:
             # The session-level contract for on_exhausted="raise" has
@@ -581,7 +551,7 @@ class SweepSession:
                 return "done", _cell_task(payload, attempt)
             except Exception as error:
                 quarantined = ledger.fail(
-                    cell.key(), _cell_label(cell), attempt, KIND_ERROR,
+                    cell.key(), cell.label(), attempt, KIND_ERROR,
                     f"{type(error).__name__}: {error}\n{traceback.format_exc()}",
                     None, perf_counter() - start,
                 )
@@ -609,7 +579,7 @@ class SweepSession:
         supervisor.stats = ledger.stats
         self._last_parallelism = min(supervisor.size, len(pending))
         items = [
-            (cell.key(), _cell_label(cell), payload)
+            (cell.key(), cell.label(), payload)
             for cell, payload in zip(pending, payloads)
         ]
         for tag, body in supervisor.run(items):

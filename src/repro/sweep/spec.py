@@ -7,6 +7,12 @@ cells. A cell is plain data: it names its workload, configuration and
 seed instead of holding live objects, which makes it picklable for
 worker processes, hashable for the result cache, and storable next to
 the result it produced.
+
+What every cell kind shares — its workload point, window and seed,
+checked once when the cell is built, and the store key, label and
+plain-data form derived from them — lives in :class:`CellCore`; what
+every grid kind shares lives in :class:`GridCore`. The fleet's cells
+and grids (:mod:`repro.fleet.spec`) build on both.
 """
 
 from __future__ import annotations
@@ -14,10 +20,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar, TypeVar
 
-from repro.props import PropertySet, get_prop, render_overrides, resolve_config
+from repro.props import (
+    PropertySet,
+    PropPairs,
+    config_axis_label,
+    merge_props,
+    normalize_props,
+    resolve_config,
+)
 from repro.scenarios import registry as scenarios
 from repro.server.configs import MachineConfig
 from repro.units import MS
@@ -39,96 +51,6 @@ if TYPE_CHECKING:
 #: ``pstate.nominal``), so every resolved property set — and with it
 #: every cell key — changed content.
 SCHEMA_VERSION = 4
-
-#: A platform-property override value (parsed, not the CLI spelling).
-PropValue = bool | int | float | str
-
-#: Canonical override pairs: sorted by name, hashable, JSON-friendly.
-PropPairs = tuple[tuple[str, PropValue], ...]
-
-
-def normalize_props(props: Any) -> PropPairs:
-    """Canonicalize property overrides into sorted, validated pairs.
-
-    Accepts a mapping or an iterable of (name, value) pairs (lists
-    survive JSON round-trips); values may be CLI string spellings.
-    Fleet-scoped properties are rejected — they configure a cluster,
-    not a machine cell.
-    """
-    if props is None:
-        return ()
-    pairs = props.items() if isinstance(props, dict) else props
-    seen: dict[str, PropValue] = {}
-    for pair in pairs:
-        name, value = pair
-        prop = get_prop(name)
-        if prop.scope == "fleet":
-            raise ValueError(
-                f"property '{name}' is fleet-scoped; use it on a fleet "
-                "grid (repro fleet), not a machine cell"
-            )
-        if name in seen:
-            raise ValueError(f"duplicate property override '{name}'")
-        seen[name] = prop.parse(value)
-    return tuple(sorted(seen.items()))
-
-
-def normalize_control_props(props: Any) -> PropPairs:
-    """Canonicalize controller knob overrides into sorted pairs.
-
-    Accepts the same spellings as :func:`normalize_props`, but only
-    the fleet-scoped controller knobs
-    (:data:`repro.props.builtin.CONTROL_PROP_NAMES`). Pairs equal to
-    the registry default are dropped, so an explicit default and an
-    omitted knob resolve to the same cache key (the watermark-style
-    aliasing rule, applied at normalization time).
-    """
-    from repro.props.builtin import CONTROL_PROP_NAMES
-
-    if props is None:
-        return ()
-    pairs = props.items() if isinstance(props, dict) else props
-    seen: dict[str, PropValue] = {}
-    for pair in pairs:
-        name, value = pair
-        if name not in CONTROL_PROP_NAMES:
-            raise ValueError(
-                f"'{name}' is not a controller knob; control_props "
-                f"accepts {CONTROL_PROP_NAMES}"
-            )
-        if name in seen:
-            raise ValueError(f"duplicate property override '{name}'")
-        seen[name] = get_prop(name).parse(value)
-    return tuple(
-        sorted(
-            (name, value)
-            for name, value in seen.items()
-            if value != get_prop(name).default
-        )
-    )
-
-
-def merge_props(base: PropPairs, extra: PropPairs) -> PropPairs:
-    """Merge two canonical override sets (``extra`` wins on conflict)."""
-    if not extra:
-        return base
-    if not base:
-        return extra
-    merged = dict(base)
-    merged.update(extra)
-    return tuple(sorted(merged.items()))
-
-
-def resolved_machine_props(config: str, props: PropPairs) -> PropertySet:
-    """The full property set of ``config`` + overrides (key material)."""
-    return resolve_config(config, props).props
-
-
-def config_axis_label(config: str, props: PropPairs) -> str:
-    """``Cshallow+timer_tick_hz=250``-style axis label."""
-    if not props:
-        return config
-    return f"{config}+{render_overrides(dict(props))}"
 
 
 def duration_for_rate(qps: float) -> int:
@@ -160,15 +82,19 @@ def warmup_for_duration(duration_ns: int) -> int:
 _VALIDATED_PRESETS: set[tuple[str, str]] = set()
 
 
-def _normalize_scenario(workload: str, scenario: str) -> tuple[str, str]:
-    """Resolve the (workload, scenario) pair of a cell.
+def _check_point(point: WorkloadPoint | CellCore) -> None:
+    """Normalize and validate one operating point, in place.
 
     ``scenario`` names the registry entry that builds the traffic;
     ``workload`` is the label results carry. Either may be omitted
     (they default to each other — every pre-registry cell spelled only
-    a workload name), but the scenario must be registered.
+    a workload name), but the scenario must be registered. The rate
+    must not be negative and becomes a float (int and float spellings
+    of one rate must compare, hash and cache identically), and a
+    preset or trace the scenario cannot build fails here, not inside a
+    worker pool.
     """
-    scenario = scenario or workload
+    scenario = point.scenario or point.workload
     if not scenario:
         raise KeyError("a cell needs a workload or scenario name")
     if not scenarios.is_registered(scenario):
@@ -176,7 +102,20 @@ def _normalize_scenario(workload: str, scenario: str) -> tuple[str, str]:
             f"unknown workload/scenario {scenario!r}; "
             f"have {scenarios.scenario_names()}"
         )
-    return workload or scenario, scenario
+    object.__setattr__(point, "workload", point.workload or scenario)
+    object.__setattr__(point, "scenario", scenario)
+    if point.qps < 0:
+        raise ValueError(f"offered QPS cannot be negative: {point.qps}")
+    object.__setattr__(point, "qps", float(point.qps))
+    if (
+        scenarios.get(scenario).uses_preset
+        and (scenario, point.preset) not in _VALIDATED_PRESETS
+    ):
+        # Building the workload validates the preset (or, for trace
+        # scenarios, the trace file) — cached per operating point so
+        # per-cell checks don't re-parse large traces.
+        scenarios.build(scenario, point.qps, point.preset)
+        _VALIDATED_PRESETS.add((scenario, point.preset))
 
 
 @dataclass(frozen=True)
@@ -201,25 +140,8 @@ class WorkloadPoint:
     props: PropPairs = ()
 
     def __post_init__(self) -> None:
-        workload, scenario = _normalize_scenario(self.workload, self.scenario)
-        object.__setattr__(self, "workload", workload)
-        object.__setattr__(self, "scenario", scenario)
+        _check_point(self)
         object.__setattr__(self, "props", normalize_props(self.props))
-        if self.qps < 0:
-            raise ValueError(f"offered QPS cannot be negative: {self.qps}")
-        if (
-            scenarios.get(scenario).uses_preset
-            and (scenario, self.preset) not in _VALIDATED_PRESETS
-        ):
-            # Fail at construction, not inside a worker pool: building
-            # the workload validates the preset (or, for trace
-            # scenarios, the trace file) — cached per operating point
-            # so per-cell labels don't re-parse large traces.
-            self.build()
-            _VALIDATED_PRESETS.add((scenario, self.preset))
-        # Canonical numeric type: int and float spellings of one rate
-        # must compare, hash and cache identically.
-        object.__setattr__(self, "qps", float(self.qps))
 
     def build(self) -> Workload:
         """Instantiate this point's workload."""
@@ -227,17 +149,7 @@ class WorkloadPoint:
 
     def label(self) -> str:
         """Short human label for tables and progress lines."""
-        kind = scenarios.get(self.scenario).kind
-        if kind == "rate":
-            if self.qps == 0:
-                return "idle"
-            return f"{self.scenario}@{self.qps:g}"
-        if kind == "preset":
-            return f"{self.scenario}:{self.preset}"
-        if kind == "trace":
-            trace = Path(self.preset).stem if self.preset else "example"
-            return f"{self.scenario}:{trace}"
-        return self.scenario
+        return scenarios.get(self.scenario).point_label(self.qps, self.preset)
 
 
 def resolve_window(
@@ -283,37 +195,111 @@ def preset_points(
     return tuple(WorkloadPoint(workload, preset=p) for p in presets)
 
 
-def canonical_point(scenario: str, qps: float, preset: str) -> dict[str, Any]:
-    """Canonical (scenario, qps, preset) triple for cache keys.
+_C = TypeVar("_C", bound="CellCore")
 
-    Different spellings of one physical operating point must share a
-    cache entry: rate 0 is the idle server whatever the scenario is
-    named, the preset only counts for preset/trace-driven scenarios
-    (trace points are keyed by trace *contents*), and the rate only
-    counts for rate-driven ones. Shared by every cell kind that keys a
-    result store (:class:`ExperimentSpec`, the fleet's cells).
+
+class CellCore:
+    """What every cell kind shares: its workload point, window and seed.
+
+    A mixin for the frozen cell dataclasses (:class:`ExperimentSpec`,
+    :class:`~repro.fleet.spec.FleetCell`), which declare these fields
+    in their own positional order. :meth:`_check_cell` normalizes and
+    validates them once, when the cell is built; everything else here
+    only reads them. A subclass supplies :meth:`_key_fields` (what it
+    adds to the key payload) and :meth:`_axis_label` (the part of the
+    label before the point).
     """
-    kind = scenarios.get(scenario).kind
-    if kind == "rate":
-        if qps == 0:
-            # Every rate-driven scenario at rate 0 is the same fully
-            # idle server.
-            return {"scenario": "idle", "qps": 0.0, "preset": ""}
-        return {"scenario": scenario, "qps": qps, "preset": ""}
-    if kind == "preset":
-        return {"scenario": scenario, "qps": 0.0, "preset": preset}
-    if kind == "trace":
-        # Key the trace *contents*: a re-recorded trace must
-        # re-simulate, and alias spellings of one file (relative vs
-        # absolute, the bundled-default aliases) must share an entry.
-        token = scenarios.get(scenario).trace_token(preset)
-        return {"scenario": scenario, "qps": 0.0, "preset": token}
-    return {"scenario": scenario, "qps": 0.0, "preset": ""}
+
+    __dataclass_fields__: ClassVar[dict[str, Any]]
+    workload: str
+    qps: float
+    preset: str
+    scenario: str
+    seed: int
+    duration_ns: int
+    warmup_ns: int
+
+    def _check_cell(self) -> None:
+        """Normalize and validate the point and the window."""
+        _check_point(self)
+        if self.duration_ns <= 0:
+            raise ValueError(f"duration must be positive, got {self.duration_ns}")
+        if self.warmup_ns < 0:
+            raise ValueError(f"warmup must be non-negative, got {self.warmup_ns}")
+
+    def _key_fields(self) -> dict[str, Any]:
+        raise NotImplementedError
+
+    def _axis_label(self) -> str:
+        raise NotImplementedError
+
+    def build_workload(self) -> Workload:
+        """Instantiate the cell's workload (one arrival stream)."""
+        return scenarios.build(self.scenario, self.qps, self.preset)
+
+    @property
+    def preset_label(self) -> str:
+        """The preset, when it selects this cell's operating point.
+
+        Rate-driven scenarios carry the field's default value, which
+        would mislabel CSV rows; report it only where it matters.
+        """
+        return self.preset if scenarios.get(self.scenario).uses_preset else ""
+
+    def as_dict(self) -> dict[str, Any]:
+        """Plain-data form (JSON- and pickle-friendly).
+
+        Equal to ``dataclasses.asdict(self)``: every field is a scalar
+        or a tuple of scalars, so no copy is needed.
+        """
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    @classmethod
+    def from_dict(cls: type[_C], data: dict[str, Any]) -> _C:
+        """Inverse of :meth:`as_dict`."""
+        return cls(**data)
+
+    def key(self) -> str:
+        """Content hash identifying this cell in a result store.
+
+        The hash covers the *canonical* cell, so different spellings
+        of the same physical experiment share a cache entry: the point
+        enters as :meth:`~repro.scenarios.registry.Scenario.key_point`
+        renders it, and the machines as their resolved platform
+        property sets (:meth:`_key_fields`).
+
+        The hash is cached on the (frozen) cell: the session consults
+        it several times per cell — cache pre-pass, worker dispatch,
+        deterministic reordering — and hashing dominates the
+        orchestration cost of very short cells. For trace cells this
+        matches the registry's documented invariant (trace files are
+        assumed stable for the lifetime of one process; each new
+        process re-hashes them).
+        """
+        cached: str | None = getattr(self, "_key", None)
+        if cached is not None:
+            return cached
+        payload = {
+            **self._key_fields(),
+            **scenarios.get(self.scenario).key_point(self.qps, self.preset),
+            "seed": self.seed,
+            "duration_ns": self.duration_ns,
+            "warmup_ns": self.warmup_ns,
+        }
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(blob.encode()).hexdigest()[:24]
+        object.__setattr__(self, "_key", digest)
+        return digest
+
+    def label(self) -> str:
+        """Short human label for logs and progress lines."""
+        point = scenarios.get(self.scenario).point_label(self.qps, self.preset)
+        return f"{self._axis_label()}/{point}/seed{self.seed}"
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """One fully-determined sweep cell (a single ``run_experiment``).
+class ExperimentSpec(CellCore):
+    """One fully-determined sweep cell (a single server measurement).
 
     Every field is plain data, so a cell round-trips through JSON and
     pickle; :meth:`key` derives the content hash under which the cell's
@@ -329,33 +315,18 @@ class ExperimentSpec:
     warmup_ns: int
     scenario: str = ""
     #: Platform-property overrides applied over ``config`` (the
-    #: canonical pairs :func:`normalize_props` produces).
+    #: canonical pairs :func:`~repro.props.normalize_props` produces).
     props: PropPairs = ()
 
     def __post_init__(self) -> None:
-        resolve_config(self.config)  # friendly unknown-config error
         object.__setattr__(self, "props", normalize_props(self.props))
-        if self.props:
-            # Cross-field constraints (e.g. CPC1A forbids CC6) only
-            # surface when the hybrid config is built — fail at
-            # construction, not inside a worker pool.
-            resolve_config(self.config, self.props)
-        workload, scenario = _normalize_scenario(self.workload, self.scenario)
-        object.__setattr__(self, "workload", workload)
-        object.__setattr__(self, "scenario", scenario)
-        if self.duration_ns <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_ns}")
-        if self.warmup_ns < 0:
-            raise ValueError(f"warmup must be non-negative, got {self.warmup_ns}")
-        # Same canonicalization as WorkloadPoint: the cache key hashes
-        # a JSON rendering, so 40000 and 40000.0 must not differ.
-        object.__setattr__(self, "qps", float(self.qps))
+        # Unknown configs, and hybrids that break a cross-field
+        # constraint (e.g. CPC1A forbids CC6), fail at construction,
+        # not inside a worker pool.
+        resolve_config(self.config, self.props)
+        self._check_cell()
 
     # -- construction ------------------------------------------------------
-    def build_workload(self) -> Workload:
-        """Instantiate the cell's workload."""
-        return scenarios.build(self.scenario, self.qps, self.preset)
-
     def build_config(self) -> MachineConfig:
         """The cell's machine configuration.
 
@@ -399,76 +370,79 @@ class ExperimentSpec:
 
         return collect_result(runtime, workload, self.duration_ns, self.seed)
 
-    @property
-    def preset_label(self) -> str:
-        """The preset, when it selects this cell's operating point.
-
-        Rate-driven scenarios carry the field's default value, which
-        would mislabel CSV rows; report it only where it matters.
-        """
-        return self.preset if scenarios.get(self.scenario).uses_preset else ""
-
     # -- identity ----------------------------------------------------------
-    def as_dict(self) -> dict[str, Any]:
-        """Plain-data form (JSON- and pickle-friendly).
+    def _key_fields(self) -> dict[str, Any]:
+        # The machine is keyed by its *resolved platform property set*:
+        # ``config="CPC1A"`` and ``config="Cshallow",
+        # props=(("package_policy", "pc1a"),)`` hash identically
+        # (schema v3).
+        return {"schema": SCHEMA_VERSION, "props": self.resolved_props().as_dict()}
 
-        Equal to ``dataclasses.asdict(self)``: every field is a scalar
-        or a tuple of scalar pairs, so no copy is needed.
+    def _axis_label(self) -> str:
+        return config_axis_label(self.config, self.props)
+
+
+class GridCore:
+    """What every grid kind shares: its checks and its cached expansion.
+
+    A mixin for the frozen grid dataclasses (:class:`SweepSpec`,
+    :class:`~repro.fleet.spec.FleetSpec`). A subclass supplies
+    :meth:`_expand` and calls :meth:`_check_grid` once its axes are in
+    canonical form.
+    """
+
+    duration_ns: int | None
+
+    def _expand(self) -> list[Any]:
+        raise NotImplementedError
+
+    def _check_grid(
+        self, noun: str, axes: tuple[tuple[str, tuple[Any, ...]], ...], alias: str
+    ) -> None:
+        """Reject empty and repeated axes, a bad window and aliases.
+
+        ``axes`` holds ``(name, values)`` per axis. Repeats would
+        double-weight cells in the per-seed means and understate the
+        confidence intervals; so would distinct spellings of one
+        physical cell, which share a canonical key (``alias`` gives an
+        example for the error message).
         """
-        return {field.name: getattr(self, field.name) for field in fields(self)}
+        for name, values in axes:
+            if not values:
+                raise ValueError(f"a {noun} needs at least one {name}")
+        for name, values in axes:
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {name}s in {noun}: {values}")
+        if self.duration_ns is not None and self.duration_ns <= 0:
+            raise ValueError(f"duration must be positive, got {self.duration_ns}")
+        keys = [cell.key() for cell in self._cells()]
+        if len(set(keys)) != len(keys):
+            raise ValueError(
+                f"{noun} contains equivalent spellings of the same "
+                f"experiment ({alias})"
+            )
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ExperimentSpec":
-        """Inverse of :meth:`as_dict`."""
-        return cls(**data)
+    def _cells(self) -> list[Any]:
+        cached: list[Any] | None = getattr(self, "_expanded", None)
+        if cached is None:
+            cached = self._expand()
+            object.__setattr__(self, "_expanded", cached)
+        return cached
 
-    def key(self) -> str:
-        """Content hash identifying this cell in a result store.
+    def cells(self) -> list[Any]:
+        """Expand the grid into its cells.
 
-        The hash covers the *canonical* cell, so different spellings
-        of the same physical experiment share a cache entry: rate 0
-        is the idle server whatever the scenario is named, the preset
-        only counts for preset/trace-driven scenarios, the rate only
-        counts for rate-driven ones, and the machine is keyed by its
-        *resolved platform property set* — ``config="CPC1A"`` and
-        ``config="Cshallow", props=(("package_policy", "pc1a"),)``
-        hash identically (schema v3).
-
-        The hash is cached on the (frozen) cell: the session consults
-        it several times per cell — cache pre-pass, worker dispatch,
-        deterministic reordering — and hashing dominates the
-        orchestration cost of very short cells. For trace cells this
-        matches the registry's documented invariant (trace files are
-        assumed stable for the lifetime of one process; each new
-        process re-hashes them).
+        The expansion is cached (the spec is frozen), so validation
+        in ``__post_init__`` and the session share one pass.
         """
-        cached = getattr(self, "_key", None)
-        if cached is not None:
-            return cached
-        payload = {
-            "schema": SCHEMA_VERSION,
-            **canonical_point(self.scenario, self.qps, self.preset),
-            "props": self.resolved_props().as_dict(),
-            "seed": self.seed,
-            "duration_ns": self.duration_ns,
-            "warmup_ns": self.warmup_ns,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(blob.encode()).hexdigest()[:24]
-        object.__setattr__(self, "_key", digest)
-        return digest
+        return list(self._cells())
 
-    def label(self) -> str:
-        """Short human label for logs and progress lines."""
-        point = WorkloadPoint(
-            self.workload, self.qps, self.preset, scenario=self.scenario
-        )
-        config = config_axis_label(self.config, self.props)
-        return f"{config}/{point.label()}/seed{self.seed}"
+    def __len__(self) -> int:
+        return len(self._cells())
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(GridCore):
     """A declarative experiment grid.
 
     Expansion order is deterministic: configs (outermost) x property
@@ -478,9 +452,10 @@ class SweepSpec:
     their historical expansion exactly).
 
     ``props`` is the platform-property axis: each entry is one
-    override set (mapping or pairs; see :func:`normalize_props`), and
-    the grid crosses it with every config — ``repro sweep --set
-    timer_tick_hz=0,250`` builds a two-entry axis.
+    override set (mapping or pairs; see
+    :func:`~repro.props.normalize_props`), and the grid crosses it
+    with every config — ``repro sweep --set timer_tick_hz=0,250``
+    builds a two-entry axis.
     """
 
     workloads: tuple[WorkloadPoint, ...]
@@ -494,83 +469,43 @@ class SweepSpec:
     props: tuple[PropPairs, ...] = ((),)
 
     def __post_init__(self) -> None:
-        if not self.workloads:
-            raise ValueError("a sweep needs at least one workload point")
-        if not self.configs:
-            raise ValueError("a sweep needs at least one config")
-        if not self.seeds:
-            raise ValueError("a sweep needs at least one seed")
-        if not self.props:
-            raise ValueError(
-                "a sweep needs at least one property override set "
-                "(the default ((),) is the no-override axis)"
-            )
         object.__setattr__(
             self, "props", tuple(normalize_props(p) for p in self.props)
         )
         for name in self.configs:
             resolve_config(name)  # friendly unknown-config error
-        # Repeats would double-weight cells in the per-seed means and
-        # understate the confidence intervals.
-        for label, values in (
-            ("seeds", self.seeds),
-            ("configs", self.configs),
-            ("workload points", self.workloads),
-            ("property override sets", self.props),
-        ):
-            if len(set(values)) != len(values):
-                raise ValueError(f"duplicate {label} in sweep: {values}")
-        if self.duration_ns is not None and self.duration_ns <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_ns}")
-        # Distinct spellings of one physical cell (idle vs memcached@0,
-        # preset points differing only in the ignored rate, a named
-        # preset vs its explicit property spelling) share a canonical
-        # key; they would double-weight aggregates too.
-        keys = [cell.key() for cell in self.cells()]
-        if len(set(keys)) != len(keys):
-            raise ValueError(
-                "sweep contains equivalent spellings of the same experiment "
-                "(e.g. WorkloadPoint('idle') and WorkloadPoint('memcached', "
-                "qps=0), or a preset listed next to its property spelling)"
-            )
-
-    def _window(self, point: WorkloadPoint) -> tuple[int, int]:
-        """Resolve (duration, warmup) for one point."""
-        return resolve_window(point, self.duration_ns, self.warmup_ns)
-
-    def cells(self) -> list[ExperimentSpec]:
-        """Expand the grid into its experiment cells.
-
-        The expansion is cached (the spec is frozen), so validation
-        in ``__post_init__`` and the session share one pass.
-        """
-        cached = getattr(self, "_expanded", None)
-        if cached is None:
-            # Windows are config-independent; resolve once per point.
-            windows = [self._window(point) for point in self.workloads]
-            cached = []
-            for config in self.configs:
-                for overrides in self.props:
-                    for point, (duration, warmup) in zip(self.workloads, windows):
-                        for seed in self.seeds:
-                            cached.append(ExperimentSpec(
-                                workload=point.workload,
-                                qps=point.qps,
-                                preset=point.preset,
-                                config=config,
-                                seed=seed,
-                                duration_ns=duration,
-                                warmup_ns=warmup,
-                                scenario=point.scenario,
-                                props=merge_props(overrides, point.props),
-                            ))
-            object.__setattr__(self, "_expanded", cached)
-        return list(cached)
-
-    def __len__(self) -> int:
-        return (
-            len(self.configs)
-            * len(self.props)
-            * len(self.workloads)
-            * len(self.seeds)
+        self._check_grid(
+            "sweep",
+            (
+                ("workload point", self.workloads),
+                ("config", self.configs),
+                ("seed", self.seeds),
+                ("property override set", self.props),
+            ),
+            "e.g. WorkloadPoint('idle') and WorkloadPoint('memcached', "
+            "qps=0), or a preset listed next to its property spelling",
         )
+
+    def _expand(self) -> list[ExperimentSpec]:
+        # Windows are config-independent; resolve once per point.
+        windows = [
+            resolve_window(point, self.duration_ns, self.warmup_ns)
+            for point in self.workloads
+        ]
+        return [
+            ExperimentSpec(
+                workload=point.workload,
+                qps=point.qps,
+                preset=point.preset,
+                config=config,
+                seed=seed,
+                duration_ns=duration,
+                warmup_ns=warmup,
+                scenario=point.scenario,
+                props=merge_props(overrides, point.props),
+            )
+            for config in self.configs
+            for overrides in self.props
+            for point, (duration, warmup) in zip(self.workloads, windows)
+            for seed in self.seeds
+        ]

@@ -6,8 +6,8 @@ OLTP). We reproduce each as an open workload model whose *observable
 baseline behaviour* — per-core and all-idle residency versus load —
 is calibrated against the paper's Fig. 6/8/9, so that everything the
 simulator then predicts (power savings, latency impact) is a genuine
-model output rather than a fit. See DESIGN.md Sec. 2 for the
-substitution argument.
+model output rather than a fit. ``tests/test_integration.py``
+re-checks the calibration at the paper's operating points.
 
 Beyond the paper, :class:`NginxWorkload` (short-request web tier),
 :class:`RpcFanoutWorkload` (scatter-gather with cross-core wakeup

@@ -39,20 +39,48 @@ class TestClusterConfig:
             ClusterConfig(machine="nope")
 
     def test_validates_server_count(self):
-        with pytest.raises(ValueError, match="at least one server"):
+        with pytest.raises(
+            ValueError, match="'fleet.n_servers': 0 is below the minimum 1"
+        ):
             ClusterConfig(n_servers=0)
 
     def test_validates_routing_policy(self):
-        with pytest.raises(ValueError, match="unknown routing policy"):
+        with pytest.raises(
+            ValueError, match="'fleet.routing': bad value 'hash-ring'"
+        ):
             ClusterConfig(routing="hash-ring")
 
     def test_validates_dispatch_latency(self):
-        with pytest.raises(ValueError, match="cannot be negative"):
+        with pytest.raises(
+            ValueError,
+            match="'fleet.dispatch_latency_ns': -1 is below the minimum 0",
+        ):
             ClusterConfig(dispatch_latency_ns=-1)
 
     def test_validates_pack_watermark(self):
-        with pytest.raises(ValueError, match="watermark cannot be negative"):
+        with pytest.raises(
+            ValueError, match="'fleet.pack_watermark': -1 is below the minimum 0"
+        ):
             ClusterConfig(pack_watermark=-1)
+
+    # The registry's upper bounds hold for constructed clusters as they
+    # do for --set (these only construct; none builds a fleet).
+    @pytest.mark.parametrize("field, value, bound", [
+        ("n_servers", 5000, "maximum 4096"),
+        ("dispatch_latency_ns", 5_000_000, "maximum 1000000 ns"),
+        ("pack_watermark", 200_000, "maximum 100000"),
+        ("control", "autopilot", "use one of: static, slo-pack, sleepscale"),
+    ])
+    def test_registry_ranges_bound_the_cluster(self, field, value, bound):
+        with pytest.raises(ValueError, match=f"'fleet.{field}': .*{bound}"):
+            ClusterConfig(**{field: value})
+        cell = dict(
+            workload="memcached", qps=1000.0, preset="low",
+            machine="CPC1A", n_servers=2, routing="round-robin",
+            seed=1, duration_ns=2 * MS, warmup_ns=0,
+        )
+        with pytest.raises(ValueError, match=f"'fleet.{field}': .*{bound}"):
+            FleetCell(**{**cell, field: value})
 
     def test_watermark_zero_resolves_to_one_slot_per_core(self):
         cluster = ClusterConfig(machine="CPC1A")

@@ -265,6 +265,18 @@ class TestApiLayering:
         imported = imports_of(self.SRC / "cell.py")
         assert [name for name in imported if name.startswith("repro")] == []
 
+    def test_fleet_reaches_the_sweep_layer_only_through_public_names(self):
+        # The override-pair algebra lives in repro.props, and the cell
+        # and grid cores are public, so the cluster needs no sweep
+        # import and the fleet's specs no private one.
+        cluster = imports_of(self.SRC / "fleet" / "cluster.py")
+        assert [name for name in cluster if name.startswith("repro.sweep")] == []
+        spec = imports_of(self.SRC / "fleet" / "spec.py")
+        assert [
+            name for name in spec
+            if name.startswith("repro.sweep") and "._" in name
+        ] == []
+
     def test_facade_is_plain_imports(self):
         import repro.api
         import repro.cell

@@ -162,6 +162,46 @@ class TestCellIdentity:
         assert cell(qps=40_000).key() == cell(qps=40_000.0).key()
 
 
+def cell_of(kind: str, **fields):
+    """A server (``ExperimentSpec``) or fleet cell with ``fields`` set."""
+    base = dict(
+        workload="memcached", qps=1000.0, preset="low", seed=1,
+        duration_ns=2 * MS, warmup_ns=0,
+    )
+    if kind == "fleet":
+        return FleetCell(**{
+            **base, "machine": "CPC1A", "n_servers": 2,
+            "routing": "round-robin", **fields,
+        })
+    return ExperimentSpec(**{**base, "config": "CPC1A", **fields})
+
+
+@pytest.mark.parametrize("kind", ["server", "fleet"])
+class TestCellValidation:
+    """Both cell kinds check their point when built, as WorkloadPoint
+    does, so a bad point never reaches a store key or a worker (these
+    only construct cells)."""
+
+    def test_negative_rate_rejected(self, kind):
+        with pytest.raises(ValueError, match="offered QPS cannot be negative"):
+            cell_of(kind, qps=-5.0)
+
+    def test_unknown_preset_rejected(self, kind):
+        with pytest.raises(KeyError, match="preset"):
+            cell_of(kind, workload="mysql", preset="lwo")
+
+    def test_missing_trace_rejected(self, kind, tmp_path):
+        with pytest.raises(OSError, match="No such file"):
+            cell_of(kind, workload="replay", preset=str(tmp_path / "gone.csv"))
+
+    def test_window_and_rate_are_canonical(self, kind):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            cell_of(kind, duration_ns=0)
+        with pytest.raises(ValueError, match="warmup must be non-negative"):
+            cell_of(kind, warmup_ns=-1)
+        assert cell_of(kind, qps=4000).qps.__class__ is float
+
+
 def pinned_cells() -> dict:
     """One cell of each key shape, with keys recorded before the shared
     (config, props) resolution replaced per-cell resolution."""

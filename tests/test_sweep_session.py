@@ -454,8 +454,8 @@ class TestKeyCaching:
                 config="CPC1A", seed=1, duration_ns=3 * MS, warmup_ns=1 * MS,
             )
 
-        short = cell_for("arrival_us,service_us\n10,5\n20,5\n", "a.csv")
-        longer = cell_for("arrival_us,service_us\n10,5\n20,5\n30,7\n", "b.csv")
+        short = cell_for("gap_ns,service_ns\n10,5\n20,5\n", "a.csv")
+        longer = cell_for("gap_ns,service_ns\n10,5\n20,5\n30,7\n", "b.csv")
         assert short.key() != longer.key()
 
 
@@ -564,17 +564,15 @@ class TestNonRecyclableFallback:
         clear_warm_machines()
 
 
-class TestRecyclingToggle:
-    def test_env_toggle_disables_machine_reuse(self, monkeypatch):
+class TestRecycledEqualsFresh:
+    def test_session_run_matches_fresh_run_cell(self):
+        """An in-process session recycles one machine per config slot;
+        every result equals a fresh build of the same cell."""
         clear_warm_machines()
-        spec = short_grid(rates=(0,), configs=("CPC1A",), seeds=(1, 2))
+        spec = short_grid(rates=(0, 20_000), configs=("CPC1A",), seeds=(1, 2))
         with SweepSession(workers=1) as session:
-            enabled = session.run(spec)
-        monkeypatch.setenv("REPRO_SWEEP_RECYCLE", "0")
-        clear_warm_machines()
-        with SweepSession(workers=1) as session:
-            disabled = session.run(spec)
-        assert enabled.results == disabled.results
+            recycled = session.run(spec)
+        assert recycled.results == [run_cell(cell) for cell in spec.cells()]
 
 
 class TestAtomicStore:

@@ -110,7 +110,7 @@ class TestServiceModels:
         assert model.mean_ns(1e9) == pytest.approx(15_000, rel=0.01)
 
     def test_load_calibrated_matches_paper_fit(self):
-        # The Fig. 6 calibration anchors (DESIGN.md Sec. 2).
+        # The Fig. 6 calibration anchors.
         model = MemcachedWorkload.OCCUPANCY
         assert model.mean_ns(4_000) == pytest.approx(65_500, rel=0.02)
         assert model.mean_ns(50_000) == pytest.approx(29_900, rel=0.03)
