@@ -18,7 +18,6 @@ Fig. 7(b) a cache hit when Fig. 7(c) needs it again.
 from __future__ import annotations
 
 import atexit
-import json
 from pathlib import Path
 
 from repro.server.configs import MachineConfig
@@ -35,12 +34,8 @@ from repro.workloads.base import Workload
 
 __all__ = [
     "RESULTS_DIR",
-    "append_trajectory",
     "bench_session",
-    "check_rate_regression",
     "duration_for_rate",
-    "last_comparable_run",
-    "load_trajectory",
     "measure",
     "run_bench_sweep",
     "save_report",
@@ -96,77 +91,3 @@ def measure(
 def run_bench_sweep(spec: SweepSpec) -> SweepResults:
     """Run a bench's sweep grid through the shared persistent session."""
     return bench_session().run(spec)
-
-
-# -- throughput trajectories + regression gates ------------------------------
-# Shared by bench_kernel_throughput.py (events/sec) and
-# bench_sweep_throughput.py (cells/sec): one implementation of the
-# trajectory file format and the CI gate policy, so the two gates can
-# never silently diverge.
-
-def load_trajectory(path) -> dict:
-    """Read a ``BENCH_*.json`` trajectory (``{"schema", "runs": [...]}``)."""
-    with open(path) as handle:
-        data = json.load(handle)
-    if "runs" not in data or not isinstance(data["runs"], list):
-        raise ValueError(f"{path} is not a benchmark trajectory")
-    return data
-
-
-def last_comparable_run(trajectory: dict, schema: int) -> dict | None:
-    """The trajectory's newest run recorded under ``schema``.
-
-    Runs recorded under a different schema measured different scenario
-    definitions; comparing rates across them would make the regression
-    gate meaningless.
-    """
-    for run in reversed(trajectory["runs"]):
-        if run.get("schema") == schema:
-            return run
-    return None
-
-
-def check_rate_regression(
-    run: dict,
-    baseline_run: dict,
-    max_regression: float,
-    scenarios,
-    rate_key: str,
-    unit: str,
-) -> list[str]:
-    """Failure lines for scenarios whose rate fell more than the budget."""
-    failures = []
-    for name in scenarios:
-        base = baseline_run["scenarios"].get(name)
-        fresh = run["scenarios"].get(name)
-        if base is None or fresh is None:
-            continue
-        floor = base[rate_key] * (1.0 - max_regression)
-        if fresh[rate_key] < floor:
-            failures.append(
-                f"{name}: {fresh[rate_key]:,.0f} {unit} < floor "
-                f"{floor:,.0f} (baseline {base[rate_key]:,.0f}, "
-                f"budget -{max_regression:.0%})"
-            )
-    return failures
-
-
-def append_trajectory(out, run: dict, schema: int, replace: bool = False) -> Path:
-    """Append ``run`` to the trajectory at ``out`` (or start a fresh one).
-
-    Appending is the default: trajectories exist to accumulate
-    cross-PR history, so re-running the documented command must not
-    silently erase it.
-    """
-    trajectory = {"schema": schema, "runs": []}
-    if not replace:
-        try:
-            trajectory = load_trajectory(out)
-        except (OSError, ValueError):
-            pass
-    trajectory["schema"] = schema  # newest run's definitions
-    trajectory["runs"].append(run)
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(trajectory, indent=1, sort_keys=True) + "\n")
-    return out

@@ -1,21 +1,12 @@
 """Micro-benchmarks of the simulation substrate itself.
 
-Not a paper figure — these keep the simulator's own performance
-observable so regressions in the event kernel or the machine model
-show up in CI. They run in two modes:
+Not a paper figure: these keep the simulator's own performance
+observable under pytest-benchmark (``pytest
+benchmarks/bench_kernel_throughput.py -o python_files='bench_*.py' -o
+python_functions='bench_*'``). End-to-end speed is the repo
+benchmark's job (``perfbench/``, A/B-gated by ``benchmarks/ab.py``).
 
-* under pytest(-benchmark) like every other bench
-  (``pytest benchmarks/bench_kernel_throughput.py -o
-  python_files='bench_*.py' -o python_functions='bench_*'``);
-* as a standalone script emitting the ``BENCH_kernel.json``
-  trajectory and optionally enforcing a regression gate against a
-  committed baseline::
-
-      PYTHONPATH=src python benchmarks/bench_kernel_throughput.py \\
-          --out results/BENCH_kernel.json \\
-          --baseline results/BENCH_kernel.json --max-regression 0.30
-
-The scenarios (documented in benchmarks/README.md):
+The kernel scenarios (documented in benchmarks/README.md):
 
 * ``pure_kernel`` — a self-rescheduling event chain: pure
   schedule/pop/dispatch cost, nothing else.
@@ -25,22 +16,14 @@ The scenarios (documented in benchmarks/README.md):
 * ``rearm_churn`` — restartable idle-window timers re-armed before
   they expire (NIC/governor pattern): exercises lazy cancellation
   and threshold-triggered heap compaction.
-* ``full_machine`` — a complete CPC1A server under memcached load:
-  end-to-end events/sec including all machine models.
+
+``bench_machine_simulation_rate`` runs a complete CPC1A server under
+memcached load: end-to-end events/sec including all machine models.
 """
 
 from __future__ import annotations
 
-import time
-
-from _common import (
-    RESULTS_DIR,
-    append_trajectory,
-    check_rate_regression,
-    last_comparable_run as _last_comparable_run,
-    load_trajectory as _load_trajectory,
-    save_report,
-)
+from _common import save_report
 from repro.server.configs import cpc1a
 from repro.server.experiment import run_experiment
 from repro.sim.engine import Simulator
@@ -48,18 +31,9 @@ from repro.sim.timers import PeriodicTimer, RestartableTimeout
 from repro.units import MS, S
 from repro.workloads.memcached import MemcachedWorkload
 
-#: Bump when scenario definitions change incompatibly, so trajectory
-#: entries from different definitions are never compared.
-BENCH_SCHEMA = 1
-
-#: Repeats per scenario; events/sec is best-of (the interpreter's
-#: adaptive specialization and CPU frequency ramping need several
-#: passes to reach steady state, and best-of is robust to both).
-DEFAULT_REPEATS = 10
-
 
 # -- scenarios --------------------------------------------------------------
-def scenario_pure_kernel(n_events: int = 100_000) -> tuple[int, float]:
+def scenario_pure_kernel(n_events: int = 100_000) -> int:
     """A self-rescheduling chain: bare kernel schedule/pop/dispatch."""
     sim = Simulator()
     remaining = [n_events]
@@ -71,33 +45,27 @@ def scenario_pure_kernel(n_events: int = 100_000) -> tuple[int, float]:
             schedule(10, tick)
 
     schedule(10, tick)
-    start = time.perf_counter()
     sim.run()
-    elapsed = time.perf_counter() - start
     assert sim.events_processed == n_events
-    return sim.events_processed, elapsed
+    return sim.events_processed
 
 
 def scenario_timer_churn(
     n_cores: int = 16, tick_hz: int = 1000, sim_time_ns: int = 2 * S
-) -> tuple[int, float]:
+) -> int:
     """Per-core periodic ticks: the OsTimerTicks ``periodic`` hot case."""
     sim = Simulator()
     period_ns = S // tick_hz
     timers = [PeriodicTimer(sim, period_ns, lambda: None) for _ in range(n_cores)]
     for timer in timers:
         timer.start()
-    start = time.perf_counter()
     sim.run(until_ns=sim_time_ns)
-    elapsed = time.perf_counter() - start
     expected = n_cores * (sim_time_ns // period_ns)
     assert sim.events_processed >= expected
-    return sim.events_processed, elapsed
+    return sim.events_processed
 
 
-def scenario_rearm_churn(
-    n_timers: int = 16, restarts: int = 4_000
-) -> tuple[int, float]:
+def scenario_rearm_churn(n_timers: int = 16, restarts: int = 4_000) -> int:
     """Idle-window timers re-armed before expiry (NIC/governor pattern).
 
     Every restart cancels the armed countdown, so the heap fills with
@@ -119,168 +87,21 @@ def scenario_rearm_churn(
             sim.schedule(100_000, restart_all)
 
     sim.schedule(0, restart_all)
-    start = time.perf_counter()
     sim.run()
-    elapsed = time.perf_counter() - start
-    return sim.events_processed + sim.events_cancelled, elapsed
-
-
-def scenario_full_machine() -> tuple[int, float, dict]:
-    """A CPC1A server under memcached load, end to end."""
-    workload = MemcachedWorkload(50_000)
-    start = time.perf_counter()
-    result = run_experiment(
-        workload, cpc1a(), duration_ns=20 * MS, warmup_ns=5 * MS, seed=6
-    )
-    elapsed = time.perf_counter() - start
-    assert result.requests_completed > 500
-    return result.kernel.events_processed, elapsed, result.kernel.as_dict()
-
-
-# -- suite ------------------------------------------------------------------
-def run_suite(repeats: int = DEFAULT_REPEATS) -> dict:
-    """Best-of-``repeats`` events/sec for every scenario."""
-    scenarios: dict[str, dict] = {}
-
-    def record(name: str, events: int, seconds: float, extra: dict | None = None):
-        entry = scenarios.setdefault(
-            name, {"events": events, "seconds": seconds, "events_per_sec": 0.0}
-        )
-        rate = events / seconds
-        if rate > entry["events_per_sec"]:
-            entry.update(events=events, seconds=seconds, events_per_sec=rate)
-        if extra:
-            entry["kernel"] = extra
-
-    for _ in range(repeats):
-        events, seconds = scenario_pure_kernel()
-        record("pure_kernel", events, seconds)
-    for _ in range(repeats):
-        events, seconds = scenario_timer_churn()
-        record("timer_churn", events, seconds)
-    for _ in range(repeats):
-        events, seconds = scenario_rearm_churn()
-        record("rearm_churn", events, seconds)
-    for _ in range(max(2, repeats // 3)):
-        events, seconds, kernel = scenario_full_machine()
-        record("full_machine", events, seconds, extra=kernel)
-    return {"schema": BENCH_SCHEMA, "repeats": repeats, "scenarios": scenarios}
-
-
-def load_trajectory(path) -> dict:
-    """Read a BENCH_kernel.json file ({"schema", "runs": [...]})."""
-    return _load_trajectory(path)
-
-
-def last_comparable_run(trajectory: dict) -> dict | None:
-    """The trajectory's newest run with the current scenario schema."""
-    return _last_comparable_run(trajectory, BENCH_SCHEMA)
-
-
-def check_regression(
-    run: dict, baseline_run: dict, max_regression: float, scenarios=("pure_kernel",)
-) -> list[str]:
-    """Scenario names whose events/sec fell more than the budget."""
-    return check_rate_regression(
-        run, baseline_run, max_regression, scenarios,
-        rate_key="events_per_sec", unit="ev/s",
-    )
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default=str(RESULTS_DIR / "BENCH_kernel.json"),
-        help="trajectory file to write (default: results/BENCH_kernel.json)",
-    )
-    parser.add_argument(
-        "--label", default="local",
-        help="label stored with this run (e.g. a PR number or git sha)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=DEFAULT_REPEATS,
-        help="repeats per scenario (events/sec is best-of)",
-    )
-    parser.add_argument(
-        "--baseline", default=None,
-        help="existing BENCH_kernel.json to compare against "
-             "(its newest schema-compatible run)",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=0.30,
-        help="fail if pure-kernel events/sec drops more than this fraction",
-    )
-    parser.add_argument(
-        "--replace", action="store_true",
-        help="overwrite --out instead of appending to its run history",
-    )
-    args = parser.parse_args(argv)
-
-    baseline_run = None
-    if args.baseline is not None:
-        try:
-            baseline = load_trajectory(args.baseline)
-        except (OSError, ValueError) as error:
-            # Missing, unreadable or non-trajectory JSON: one clean
-            # line and a failing gate, not a traceback.
-            print(f"ERROR baseline {args.baseline} is unusable: {error}")
-            return 1
-        baseline_run = last_comparable_run(baseline)
-        if baseline_run is None:
-            print(
-                f"[no run with scenario schema {BENCH_SCHEMA} in "
-                f"{args.baseline}; skipping the regression gate]"
-            )
-
-    run = run_suite(repeats=args.repeats)
-    run["label"] = args.label
-    for name, entry in sorted(run["scenarios"].items()):
-        print(f"{name:>14}: {entry['events_per_sec']:>12,.0f} events/s")
-
-    out = append_trajectory(args.out, run, BENCH_SCHEMA, replace=args.replace)
-    print(f"[trajectory written to {out}]")
-
-    if baseline_run is not None:
-        failures = check_regression(run, baseline_run, args.max_regression)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(
-            f"regression gate ok (pure_kernel within -{args.max_regression:.0%} "
-            "of baseline)"
-        )
-    return 0
+    return sim.events_processed + sim.events_cancelled
 
 
 # -- pytest-benchmark entry points ------------------------------------------
 def bench_event_kernel_100k_events(benchmark):
-    def run_events():
-        events, _ = scenario_pure_kernel(100_000)
-        return events
-
-    processed = benchmark(run_events)
-    assert processed == 100_000
+    assert benchmark(scenario_pure_kernel, 100_000) == 100_000
 
 
 def bench_timer_churn_16cores_1000hz(benchmark):
-    def run_churn():
-        events, _ = scenario_timer_churn()
-        return events
-
-    processed = benchmark(run_churn)
-    assert processed >= 32_000
+    assert benchmark(scenario_timer_churn) >= 32_000
 
 
 def bench_rearm_churn_lazy_cancellation(benchmark):
-    def run_rearm():
-        events, _ = scenario_rearm_churn()
-        return events
-
-    processed = benchmark(run_rearm)
-    assert processed > 0
+    assert benchmark(scenario_rearm_churn) > 0
 
 
 def bench_machine_simulation_rate(benchmark):
@@ -306,7 +127,3 @@ def bench_machine_simulation_rate(benchmark):
         f"{kernel.heap_compactions} compactions, "
         f"peak heap {kernel.peak_heap_size}",
     )
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

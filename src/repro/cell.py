@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Protocol, runtime_checkable
 
-__all__ = ["Cell", "CellRuntime", "measure_window", "run_cell"]
+__all__ = ["Cell", "CellRuntime", "check_window", "measure_window", "run_cell"]
 
 
 @runtime_checkable
@@ -95,6 +95,14 @@ class Cell(Protocol):
         ...
 
 
+def check_window(duration_ns: int, warmup_ns: int) -> None:
+    """Reject an empty measurement window or a negative warmup."""
+    if duration_ns <= 0:
+        raise ValueError(f"duration must be positive, got {duration_ns}")
+    if warmup_ns < 0:
+        raise ValueError(f"warmup must be non-negative, got {warmup_ns}")
+
+
 def measure_window(
     runtime: CellRuntime,
     workload: Any,
@@ -109,10 +117,7 @@ def measure_window(
     sampling error). On return the runtime holds one measured window,
     ready for the cell's ``collect``.
     """
-    if duration_ns <= 0:
-        raise ValueError(f"duration must be positive, got {duration_ns}")
-    if warmup_ns < 0:
-        raise ValueError(f"warmup must be non-negative, got {warmup_ns}")
+    check_window(duration_ns, warmup_ns)
     workload.start(runtime.sim, runtime)
     runtime.run_for(warmup_ns)
     runtime.begin_measurement()

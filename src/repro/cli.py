@@ -1105,7 +1105,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
         else report.format_human(verbose_suppressed=args.verbose)
     )
     if args.out:
-        Path(args.out).write_text(rendered + "\n", encoding="utf-8")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(rendered + "\n", encoding="utf-8")
         print(f"wrote {args.format} report to {args.out}")
     if args.format != "json" or not args.out:
         print(rendered)

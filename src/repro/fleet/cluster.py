@@ -238,16 +238,13 @@ class FleetMachine:
             )
             for index, config in enumerate(configs)
         ]
-        watermark = cluster.pack_watermark
-        if watermark <= 0:
-            watermark = configs[0].soc.n_cores
-        self.state = FleetState(cluster.n_servers, watermark)
+        self.state = FleetState(cluster.n_servers, cluster.resolved_pack_watermark())
         self.balancer = LoadBalancer(
             self.sim,
             self.machines,
+            self.state,
             policy=cluster.routing,
             dispatch_latency_ns=cluster.dispatch_latency_ns,
-            state=self.state,
         )
         self.received = 0
         # Parked-server bookkeeping: only machines whose idle periods
@@ -364,8 +361,8 @@ class FleetMachine:
         self.cluster = cluster
         self.balancer.retarget(
             cluster.routing,
-            dispatch_latency_ns=cluster.dispatch_latency_ns,
-            pack_watermark=cluster.pack_watermark,
+            cluster.dispatch_latency_ns,
+            cluster.resolved_pack_watermark(),
         )
 
     # -- parked fast path --------------------------------------------------

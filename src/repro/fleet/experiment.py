@@ -34,10 +34,6 @@ def run_fleet_experiment(
     :class:`~repro.fleet.spec.FleetCell` should prefer
     :func:`repro.cell.run_cell`.
     """
-    if duration_ns <= 0:
-        raise ValueError(f"duration must be positive, got {duration_ns}")
-    if warmup_ns < 0:
-        raise ValueError(f"warmup must be non-negative, got {warmup_ns}")
     if fleet is None:
         fleet = FleetMachine(cluster, seed=seed)
     else:

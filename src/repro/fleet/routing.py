@@ -159,10 +159,9 @@ class LoadBalancer:
         self,
         sim: Simulator,
         machines: Sequence[ServerMachine],
+        state: FleetState,
         policy: str = "round-robin",
         dispatch_latency_ns: int = 0,
-        pack_watermark: int = 0,
-        state: FleetState | None = None,
     ):
         if policy not in POLICY_FUNCTIONS:
             raise ValueError(
@@ -176,12 +175,6 @@ class LoadBalancer:
             )
         self.sim = sim
         self.machines = list(machines)
-        # 0 = auto: one concurrency slot per core, i.e. pack a server
-        # until every core has work before spilling to the next one.
-        if pack_watermark <= 0:
-            pack_watermark = len(self.machines[0].cores)
-        if state is None:
-            state = FleetState(len(self.machines), pack_watermark)
         self.state = state
         self.policy = policy
         self._choose = POLICY_FUNCTIONS[policy]
@@ -196,10 +189,7 @@ class LoadBalancer:
             machine.on_request_complete = self._completion_hook(index)
 
     def retarget(
-        self,
-        policy: str,
-        dispatch_latency_ns: int = 0,
-        pack_watermark: int = 0,
+        self, policy: str, dispatch_latency_ns: int, pack_watermark: int
     ) -> None:
         """Re-point a (freshly restored) balancer at new routing knobs.
 
@@ -207,6 +197,8 @@ class LoadBalancer:
         every cell that shares its per-server configs, whatever the
         routing policy, dispatch latency or watermark of the cell —
         those knobs configure the balancer only, never the machines.
+        ``pack_watermark`` is the resolved value
+        (:meth:`~repro.fleet.cluster.ClusterConfig.resolved_pack_watermark`).
         """
         if policy not in POLICY_FUNCTIONS:
             raise ValueError(
@@ -216,8 +208,6 @@ class LoadBalancer:
             raise ValueError(
                 f"dispatch latency cannot be negative: {dispatch_latency_ns}"
             )
-        if pack_watermark <= 0:
-            pack_watermark = len(self.machines[0].cores)
         self.policy = policy
         self._choose = POLICY_FUNCTIONS[policy]
         self.dispatch_latency_ns = int(dispatch_latency_ns)

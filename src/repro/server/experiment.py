@@ -87,10 +87,6 @@ def run_experiment(
     :func:`repro.cell.measure_window`; anything starting from a spec
     should prefer :func:`repro.cell.run_cell`.
     """
-    if duration_ns <= 0:
-        raise ValueError(f"duration must be positive, got {duration_ns}")
-    if warmup_ns < 0:
-        raise ValueError(f"warmup must be non-negative, got {warmup_ns}")
     if machine is None:
         machine = ServerMachine(config, seed=seed)
     else:

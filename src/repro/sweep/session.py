@@ -321,9 +321,9 @@ class SweepSession:
         self._supervisor: SweepSupervisor | None = None
         self._last_parallelism = 1
         self._closed = False
-        #: Accounting for the most recent :meth:`run` (consumed by the
-        #: sweep throughput bench and ``--stats-json``): build/simulate
-        #: split, dispatch counts, wall time, fault counters.
+        #: Accounting for the most recent :meth:`run` (consumed by
+        #: perfbench and ``--stats-json``): build/simulate split,
+        #: dispatch counts, wall time, fault counters.
         self.last_run_stats: dict[str, float | int] = {}
 
     # -- lifecycle -------------------------------------------------------

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, ClassVar, TypeVar
 
+from repro.cell import check_window
 from repro.props import (
     PropertySet,
     PropPairs,
@@ -222,10 +223,7 @@ class CellCore:
     def _check_cell(self) -> None:
         """Normalize and validate the point and the window."""
         _check_point(self)
-        if self.duration_ns <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_ns}")
-        if self.warmup_ns < 0:
-            raise ValueError(f"warmup must be non-negative, got {self.warmup_ns}")
+        check_window(self.duration_ns, self.warmup_ns)
 
     def _key_fields(self) -> dict[str, Any]:
         raise NotImplementedError

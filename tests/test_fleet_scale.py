@@ -80,15 +80,22 @@ class TestClusterRecycleGolden:
 
     def test_recycle_retargets_the_routing_knobs(self):
         # Routing/dispatch/watermark are balancer-only: one warm fleet
-        # serves every routing of the same server lineup.
-        pack = diurnal_cell(n_servers=4)
-        spread = diurnal_cell(n_servers=4, routing="power-aware-spread")
-        assert pack.warm_slot() == spread.warm_slot()
-        warm = pack.build()
-        warm.checkpoint()
-        run_cell(pack, runtime=warm)  # dirty it with the pack cell
-        spread.recycle(warm)
-        assert run_cell(spread, runtime=warm) == run_cell(spread)
+        # serves every routing and watermark of the same server lineup.
+        cases = [
+            (diurnal_cell(n_servers=4),
+             diurnal_cell(n_servers=4, routing="power-aware-spread")),
+            # An explicit watermark recycled into the default one (a
+            # slot per core), which must resolve as a fresh build does.
+            (diurnal_cell(n_servers=4, pack_watermark=2),
+             diurnal_cell(n_servers=4)),
+        ]
+        for first, then in cases:
+            assert first.warm_slot() == then.warm_slot()
+            warm = first.build()
+            warm.checkpoint()
+            run_cell(first, runtime=warm)  # dirty it with the first cell
+            then.recycle(warm)
+            assert run_cell(then, runtime=warm) == run_cell(then)
 
     def test_recycle_rejects_a_different_lineup(self):
         warm = FleetMachine(ClusterConfig("CPC1A", 2), seed=1)

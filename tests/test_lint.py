@@ -387,7 +387,7 @@ class TestCli:
         bad = tmp_path / "src" / "repro" / "workloads" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("import time\n\ndef f():\n    return time.time()\n")
-        out = tmp_path / "report.json"
+        out = tmp_path / "reports" / "report.json"  # parent not created yet
         code = self.run_cli(
             "lint", str(tmp_path), "--format", "json", "--out", str(out)
         )
