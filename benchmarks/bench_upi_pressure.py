@@ -1,11 +1,14 @@
 """Extension — PC1A under cross-socket UPI snoop pressure.
 
 Overlays remote-socket snoop traffic on a low-load Memcached service
-and sweeps the snoop rate. Each snoop wakes a UPI link out of L0p and
-drags the package out of PC1A, so residency and savings degrade as
-coherence traffic rises — quantifying why UPI's L0p (10 ns exit, half
-the lanes awake) rather than L0s/L1 is the right choice for
-multi-socket parts, and what idle-socket snoop filtering would buy.
+and sweeps the snoop rate. A snoop lands on a UPI link in L0p: half the
+lanes stay awake, so it is delivered at once while the link upshifts
+to L0 (10 ns) and drags the package out of PC1A. Once the link is back
+in L0 and idle for its 2 ns window it drops to L0p again, and the
+package re-enters PC1A: one exit and entry, about 176 ns, per snoop.
+Residency therefore falls only by the snoop rate times that cost,
+which is why UPI's L0p rather than L0s/L1 is the right standby state
+for multi-socket parts.
 """
 
 from _common import measure, save_report
@@ -54,13 +57,14 @@ def bench_upi_snoop_pressure(benchmark):
     )
     save_report(
         "ext_upi_snoop_pressure",
-        table + "\nCross-socket coherence traffic erodes the PC1A"
-        + " opportunity; idle-socket snoop filtering (or directory"
-        + " coherence) is complementary to APC on multi-socket parts.",
+        table + "\nEach snoop costs one PC1A exit and re-entry (~176 ns):"
+        + " the UPI link upshifts out of L0p and drops back after its"
+        + " 2 ns idle window, so even 50K snoops/s leave PC1A residency"
+        + " and savings close to the snoop-free run.",
     )
 
-    residencies = [apc.pc1a_residency() for _, apc, _ in rows]
-    assert residencies == sorted(residencies, reverse=True)
-    assert residencies[0] > residencies[-1]
-    # Even at 50K snoops/s the 176 ns transitions keep savings alive.
-    assert rows[-1][2].savings_percent > 5.0
+    quiet, loudest = rows[0][1].pc1a_residency(), rows[-1][1].pc1a_residency()
+    # 50K snoops/s of ~176 ns transitions cost under 1 % of the window.
+    assert abs(quiet - loudest) < 0.02
+    assert rows[-1][1].pc1a_exits > rows[0][1].pc1a_exits
+    assert rows[-1][2].savings_percent > rows[0][2].savings_percent - 1.0

@@ -217,6 +217,12 @@ class IoLink:
         self.residency.enter(state)
         self.channel.set_power(self.power_spec.watts[power_class])
         self.in_l0s.set(in_l0s)
+        if state == "L0":
+            # Arriving in L0 (an L0p upshift, an L0s exit or an L1
+            # retrain) may find AllowL0s already asserted and the link
+            # idle: the idle window starts here, or the link would stay
+            # in L0 until the next transfer.
+            self._maybe_arm_idle_timer()
 
 
 def make_link(sim: Simulator, kind: str, index: int, channel: PowerChannel) -> IoLink:

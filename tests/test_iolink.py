@@ -144,6 +144,39 @@ class TestLinkIdleDetection:
         sim.run(until_ns=10 * US)
         assert link.shallow_entries == 2  # initial entry + re-entry
 
+    def test_upi_snoop_in_l0p_returns_to_l0p(self, sim):
+        # The 64 B snoop is delivered 3 ns in, before the 10 ns upshift
+        # lands: the idle window must start on the L0 arrival.
+        link = make_link(sim, "upi", 0, PowerMeter(sim).channel("u", "package"))
+        link.allow_l0s.set(True)
+        sim.run(until_ns=100)
+        assert link.state == "L0p"
+        link.transfer(64)
+        sim.run(until_ns=1 * US)
+        assert link.state == "L0p"
+        assert link.shallow_entries == 2
+
+    def test_link_leaving_l1_with_allow_asserted_reaches_l0s(self, sim):
+        link, _ = make_pcie(sim)
+        link.enter_l1()
+        sim.run()
+        link.allow_l0s.set(True)  # no idle window while in L1
+        link.exit_l1()
+        sim.run(until_ns=sim.now + PCIE_TIMINGS.l1_exit_ns + 100)
+        assert link.state == "L0s"
+        assert link.in_l0s.value
+
+    def test_l0s_exit_with_allow_reasserted_mid_exit_reaches_l0s(self, sim):
+        link, _ = make_pcie(sim)
+        link.allow_l0s.set(True)
+        sim.run(until_ns=100)
+        link.allow_l0s.set(False)  # exit starts: L0 in 64 ns
+        sim.run(until_ns=120)
+        link.allow_l0s.set(True)  # still in L0s: nothing to arm yet
+        sim.run(until_ns=1 * US)
+        assert link.state == "L0s"
+        assert link.shallow_entries == 2
+
 
 class TestLinkTransfers:
     def test_transfer_latency_includes_serialization(self, sim):

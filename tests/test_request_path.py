@@ -253,8 +253,8 @@ class TestControlPlanePinned:
                 (600, 0, 65, 47, 600, 203699, "P1"),
                 ["P1", "P1", "P1", "P1", "P1", "P2"],
                 [0, 2, 2, 1, 2, 2],
-                42742,
-                "33f6e5f77d581ec4",
+                43719,
+                "1e8f296b2857faa9",
             ),
         ],
     )

@@ -117,6 +117,17 @@ class TestUpiSnoopTraffic:
         noisy_res = noisy.package.residency.fraction("PC1A")
         assert noisy_res < quiet_res
 
+    def test_light_snoops_leave_an_idle_machine_in_pc1a(self):
+        # Each snoop lands in L0p and the link drops back after its
+        # window, so an idle package returns to PC1A every time.
+        machine = build_machine("CPC1A", seed=3)
+        traffic = UpiSnoopTraffic(1_000)
+        traffic.start(machine.sim, machine)
+        machine.sim.run(until_ns=20 * MS)
+        assert traffic.snoops_sent > 10
+        assert machine.apmu.pc1a_entries > traffic.snoops_sent
+        assert machine.package.residency.fraction("PC1A") > 0.99
+
     def test_validation(self):
         with pytest.raises(ValueError):
             UpiSnoopTraffic(0)
