@@ -109,7 +109,16 @@ class Apmu(PackageController):
         self.cores = cores
         self.iosm = iosm
         self.clmr = clmr
-        self.timings = timings or ApmuTimings()
+        self.timings = timings = timings or ApmuTimings()
+        # The flow's step offsets, derived once: the ApmuTimings
+        # properties chain into each other on every read.
+        self._gate_clm_at_ns = timings.entry_clk_gate_at_ns
+        self._drop_voltage_at_ns = timings.entry_ret_at_ns
+        self._allow_cke_off_at_ns = timings.entry_cke_at_ns
+        self._declare_at_ns = timings.entry_done_at_ns
+        self._ret_release_at_ns = timings.exit_ret_release_at_ns
+        self._cke_release_at_ns = timings.exit_cke_release_at_ns
+        self._ungate_settle_ns = timings.gate_settle_cycles * timings.cycle_ns
         #: ``InCC1`` aggregation over all cores (paper Sec. 5.3).
         self.all_cc1 = AndTree("apmu.AllInCC1", [c.in_cc1 for c in cores])
         self.all_cc1.output.watch(self._on_all_cc1_change)
@@ -234,14 +243,14 @@ class Apmu(PackageController):
             self._begin_entry()
 
     def _begin_entry(self) -> None:
-        timings = self.timings
         self._phase = "entering"
         self._wake_pending = False
         self.residency.enter(_TRANSITION)
-        self.sim.schedule(timings.entry_clk_gate_at_ns, self._entry_gate_clm)
-        self.sim.schedule(timings.entry_ret_at_ns, self._entry_drop_voltage)
-        self.sim.schedule(timings.entry_cke_at_ns, self._entry_allow_cke_off)
-        self.sim.schedule(timings.entry_done_at_ns, self._entry_declare)
+        schedule = self.sim.schedule
+        schedule(self._gate_clm_at_ns, self._entry_gate_clm)
+        schedule(self._drop_voltage_at_ns, self._entry_drop_voltage)
+        schedule(self._allow_cke_off_at_ns, self._entry_allow_cke_off)
+        schedule(self._declare_at_ns, self._entry_declare)
 
     def _entry_gate_clm(self) -> None:
         self.clmr.clk_gate.set(True)
@@ -266,15 +275,14 @@ class Apmu(PackageController):
     def _begin_exit(self) -> None:
         if self._phase != "pc1a":
             return
-        timings = self.timings
         self._phase = "exiting"
         self._wake_started_ns = self.sim.now
         self.pc1a_exits += 1
         self.residency.enter(_TRANSITION)
         self.in_pc1a.set(False)
         self._exit_branches_pending = 2
-        self.sim.schedule(timings.exit_ret_release_at_ns, self._exit_branch_clm)
-        self.sim.schedule(timings.exit_cke_release_at_ns, self._exit_branch_mcs)
+        self.sim.schedule(self._ret_release_at_ns, self._exit_branch_clm)
+        self.sim.schedule(self._cke_release_at_ns, self._exit_branch_mcs)
 
     def _exit_branch_clm(self) -> None:
         self.clmr.raise_voltage()
@@ -282,8 +290,7 @@ class Apmu(PackageController):
 
     def _exit_ungate(self) -> None:
         self.clmr.ungate()
-        settle_ns = self.timings.gate_settle_cycles * self.timings.cycle_ns
-        self.sim.schedule(settle_ns, self._exit_branch_done)
+        self.sim.schedule(self._ungate_settle_ns, self._exit_branch_done)
 
     def _exit_branch_mcs(self) -> None:
         self.iosm.allow_cke_off.set(False)

@@ -7,6 +7,11 @@ active when the wire is deasserted (exit < 24 ns, non-blocking for
 the APMU flow). Self-refresh — microseconds to exit — is only ever
 commanded by the firmware PC6 flow, never by the APMU.
 
+An access nothing waits on (a request's DRAM charge) schedules no
+completion event: its completion time is a deadline, and only an
+``Allow_CKE_OFF`` assertion that finds such accesses in flight
+schedules one drain check, at the last of them.
+
 The controller also owns the interface-side power (the MC + DDR IO
 power lives in the package RAPL domain; the device power is in the
 DRAM domain).
@@ -59,7 +64,15 @@ class MemoryController:
         self.residency = ResidencyCounter(sim, "active")
         self.allow_cke_off = Signal(f"{name}.Allow_CKE_OFF", value=False)
         self.allow_cke_off.watch(self._on_allow_change)
+        #: Accesses in flight with a completion callback (each has its
+        #: completion event).
         self._outstanding = 0
+        #: Completion times of the fire-and-forget accesses that may
+        #: still be in flight, the last of them, and the time of the
+        #: last drain check scheduled (see _maybe_enter_cke_off).
+        self._deadlines: tuple[int, ...] = ()
+        self._last_done_ns = 0
+        self._drain_at_ns = -1
         self._transition_event: Event | None = None
         self._state_listeners: list[Callable[[str], None]] = []
         self.cke_off_entries = 0
@@ -77,7 +90,8 @@ class MemoryController:
         Accesses are only legal while the channel is active — package
         flows guarantee that by waking the controller before cores
         can touch memory. Latency is the base access time plus
-        serialization at channel bandwidth.
+        serialization at channel bandwidth. Without ``on_done`` no
+        completion event is scheduled (see the module docstring).
         """
         if n_bytes <= 0:
             raise MemoryControllerError(f"access size must be positive: {n_bytes}")
@@ -87,18 +101,39 @@ class MemoryController:
                 "(package flow must reactivate the channel first)"
             )
         self.accesses += 1
-        self._outstanding += 1
         self.device.access(n_bytes)
         latency = self.timings.access_ns + max(
             0, round(n_bytes / self.timings.bandwidth_bytes_per_ns)
         )
-        self.sim.schedule(latency, self._access_done, on_done)
+        sim = self.sim
+        if on_done is not None:
+            self._outstanding += 1
+            sim.schedule(latency, self._access_done, on_done)
+            return latency
+        now = sim.now
+        done_ns = now + latency
+        if self._last_done_ns > now:
+            # Overlaps earlier accesses: keep those still in flight.
+            self._deadlines = tuple(
+                t for t in self._deadlines if t > now
+            ) + (done_ns,)
+            if done_ns > self._last_done_ns:
+                self._last_done_ns = done_ns
+        else:
+            self._deadlines = (done_ns,)
+            self._last_done_ns = done_ns
+        sim.extend_horizon(done_ns)
+        if self.allow_cke_off.value:
+            self._maybe_enter_cke_off()
         return latency
 
     @property
     def outstanding(self) -> int:
         """Transactions currently in flight."""
-        return self._outstanding
+        now = self.sim.now
+        if self._last_done_ns <= now:
+            return self._outstanding
+        return self._outstanding + sum(1 for t in self._deadlines if t > now)
 
     def _access_done(self, on_done: Callable[[], None] | None) -> None:
         self._outstanding -= 1
@@ -116,17 +151,28 @@ class MemoryController:
 
     def _maybe_enter_cke_off(self) -> None:
         if (
-            self.allow_cke_off.value
-            and self.state == "active"
-            and self._outstanding == 0
+            not self.allow_cke_off.value
+            or self.state != "active"
+            or self._outstanding
         ):
-            self.cke_off_entries += 1
-            self._begin_transition("cke_off", self.timings.cke_off_entry_ns)
+            # A callback access re-checks when it completes.
+            return
+        done_ns = self._last_done_ns
+        now = self.sim.now
+        if done_ns > now:
+            # Fire-and-forget accesses in flight: check again when the
+            # last completes, which is when its event would have.
+            if done_ns != self._drain_at_ns:
+                self._drain_at_ns = done_ns
+                self.sim.schedule(done_ns - now, self._maybe_enter_cke_off)
+            return
+        self.cke_off_entries += 1
+        self._begin_transition("cke_off", self.timings.cke_off_entry_ns)
 
     # -- self-refresh (the PC6 path) -------------------------------------------
     def enter_self_refresh(self, on_done: Callable[[], None] | None = None) -> int:
         """Firmware-commanded self-refresh entry; returns the latency."""
-        if self._outstanding:
+        if self.outstanding:
             raise MemoryControllerError(
                 f"{self.name}: self-refresh with transactions in flight"
             )

@@ -14,6 +14,10 @@ Responsibilities (paper Sec. 4.2.1 / 5.1):
   bandwidth serialization, and notifies wake listeners (the APMU
   learns of IO-triggered wakes through the InL0s edge; the GPMU
   registers an explicit listener because in PC6 its links sit in L1).
+  A transfer nothing waits on (a NIC response, a UPI snoop) schedules
+  no delivery event: its delivery time is a deadline, the idle window
+  opens at the last such deadline, and ``outstanding`` counts the
+  deadlines still ahead of the clock.
 * power accounting per L-state through the link's power channel.
 """
 
@@ -75,7 +79,14 @@ class IoLink:
         self.allow_l0s = Signal(f"{name}.AllowL0s", value=False)
         self.in_l0s = Signal(f"{name}.InL0s", value=False)
         self.residency = ResidencyCounter(sim, self.ltssm.state)
+        #: Transfers in flight with a delivery callback (each has its
+        #: delivery event).
         self._outstanding = 0
+        #: Delivery times of the fire-and-forget transfers that may
+        #: still be in flight, and the last of them. A tuple rebound per
+        #: transfer, which the recycle walker snapshots like a scalar.
+        self._deadlines: tuple[int, ...] = ()
+        self._last_delivery_ns = 0
         self._idle_timer = RestartableTimeout(
             sim, timings.shallow_entry_ns, self._idle_window_elapsed
         )
@@ -100,25 +111,53 @@ class IoLink:
         """Move ``n_bytes`` across the link; returns total latency in ns.
 
         Latency = wake latency of the current L-state (0 in L0/L0p)
-        plus serialization at the link bandwidth. The idle timer is
-        re-armed after delivery, after ``on_delivered(*args)`` runs
-        (event arguments instead of a closure per transfer).
+        plus serialization at the link bandwidth. With ``on_delivered``
+        a delivery event runs ``on_delivered(*args)`` (event arguments
+        instead of a closure per transfer) and then re-arms the idle
+        window. Without it nothing is scheduled: the delivery time is
+        kept as a deadline and the idle window is armed to open then.
         """
         if n_bytes <= 0:
             raise LinkError(f"transfer size must be positive, got {n_bytes}")
         self.transfers += 1
-        self._outstanding += 1
+        if on_delivered is not None:
+            self._outstanding += 1
         self._idle_timer.cancel()
         wake_ns = self._wake_for_traffic()
         serialize_ns = max(1, round(n_bytes / self.timings.bandwidth_bytes_per_ns))
         total = wake_ns + serialize_ns
-        self.sim.schedule(total, self._delivered, on_delivered, *args)
+        sim = self.sim
+        if on_delivered is not None:
+            sim.schedule(total, self._delivered, on_delivered, *args)
+            return total
+        now = sim.now
+        delivery_ns = now + total
+        if self._last_delivery_ns > now:
+            # Overlaps earlier fire-and-forget transfers: keep those
+            # still in flight.
+            self._deadlines = tuple(
+                t for t in self._deadlines if t > now
+            ) + (delivery_ns,)
+            if delivery_ns > self._last_delivery_ns:
+                self._last_delivery_ns = delivery_ns
+        else:
+            self._deadlines = (delivery_ns,)
+            self._last_delivery_ns = delivery_ns
+        sim.extend_horizon(delivery_ns)
+        self._maybe_arm_idle_timer()
         return total
 
     @property
     def outstanding(self) -> int:
         """Transactions currently in flight."""
-        return self._outstanding
+        now = self.sim.now
+        if self._last_delivery_ns <= now:
+            return self._outstanding
+        return self._outstanding + sum(1 for t in self._deadlines if t > now)
+
+    def _busy(self) -> bool:
+        """Whether any transaction is in flight (``outstanding > 0``)."""
+        return bool(self._outstanding) or self._last_delivery_ns > self.sim.now
 
     @property
     def state(self) -> str:
@@ -128,7 +167,7 @@ class IoLink:
     # -- GPMU (PC6) interface -------------------------------------------------
     def enter_l1(self, on_done: Callable[[], None] | None = None) -> int:
         """Command deep L1 entry (PC6 flow); returns the latency."""
-        if self._outstanding:
+        if self._busy():
             raise LinkError(f"{self.name}: cannot enter L1 with traffic in flight")
         if self.ltssm.state == "L1":
             if on_done is not None:
@@ -195,15 +234,17 @@ class IoLink:
                 self.in_l0s.set(False)
 
     def _maybe_arm_idle_timer(self) -> None:
+        # A transfer with a callback re-arms on its delivery; the window
+        # opens once the last fire-and-forget transfer has landed.
         if (
             self.allow_l0s.value
             and self._outstanding == 0
             and self.ltssm.state == "L0"
         ):
-            self._idle_timer.restart()
+            self._idle_timer.restart(self._last_delivery_ns)
 
     def _idle_window_elapsed(self) -> None:
-        if self._outstanding or not self.allow_l0s.value:
+        if self._busy() or not self.allow_l0s.value:
             return
         if self.ltssm.state != "L0":
             return

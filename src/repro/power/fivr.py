@@ -67,6 +67,11 @@ class Fivr:
     on_voltage_change:
         Optional callback ``fn(voltage)`` invoked whenever the output
         starts settling at a new level (used for power integration).
+    follows:
+        A leader FIVR this one tracks (Vccclm1 follows Vccclm0). Every
+        command to the leader is followed at once by the same command
+        to this one, so both ramp alike: the follower schedules no ramp
+        event and settles inside the leader's settle, right after it.
     """
 
     def __init__(
@@ -77,11 +82,21 @@ class Fivr:
         retention_v: float = 0.50,
         slew_v_per_ns: float = 0.002,
         on_voltage_change: Callable[[float], None] | None = None,
+        follows: Fivr | None = None,
     ):
         if nominal_v <= 0 or retention_v <= 0:
             raise VrError("voltages must be positive")
         if retention_v > nominal_v:
             raise VrError("retention voltage must not exceed nominal")
+        if follows is not None:
+            if follows.leader is not None or follows._follower is not None:
+                raise VrError(f"{follows.name} cannot lead another FIVR")
+            if slew_v_per_ns != follows.slew_v_per_ns:
+                raise VrError("a follower FIVR must slew at its leader's rate")
+            follows._follower = self
+        #: The FIVR this one follows (None: it schedules its own ramps).
+        self.leader = follows
+        self._follower: Fivr | None = None
         self.sim = sim
         self.name = name
         self.nominal_v = nominal_v
@@ -134,17 +149,21 @@ class Fivr:
         """
         if voltage <= 0:
             raise VrError(f"voltage must be positive, got {voltage}")
+        leader = self.leader
+        if leader is not None and voltage != leader._target:
+            raise VrError(f"{self.name} must be commanded to its leader's target")
         current = self.voltage  # snapshot before cancelling the ramp
+        was_ramping = self.ramping
         ramp = self._ramp_event
         if ramp is not None:
             ramp.cancel()
             self._ramp_event = None
-            self.ramping = False
+        self.ramping = False
         self._voltage = current
         self._target = voltage
         if abs(voltage - current) < 1e-12:
             self._voltage = voltage
-            if ramp is not None and self.on_voltage_change is not None:
+            if was_ramping and self.on_voltage_change is not None:
                 # The cancelled ramp had reported its start; report
                 # where the output settled instead.
                 self.on_voltage_change(voltage)
@@ -155,7 +174,8 @@ class Fivr:
         self._ramp_from = current
         self._ramp_started_at = self.sim.now
         ramp_ns = slew_time_ns(voltage - current, self.slew_v_per_ns)
-        self._ramp_event = self.sim.schedule(ramp_ns, self._settle)
+        if leader is None:
+            self._ramp_event = self.sim.schedule(ramp_ns, self._settle)
         self.ramping = True
         if self.on_voltage_change is not None:
             self.on_voltage_change(current)
@@ -177,6 +197,11 @@ class Fivr:
         if self.on_voltage_change is not None:
             self.on_voltage_change(self._voltage)
         self.pwr_ok.set(True)
+        follower = self._follower
+        if follower is not None and follower.ramping:
+            # Commanded right after this FIVR with the same ramp, the
+            # follower lands now, next, as its own event would have.
+            follower._settle()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Fivr({self.name!r}, {self.voltage:.3f} V -> {self._target:.3f} V)"

@@ -65,9 +65,10 @@ class RestartableTimeout:
     """A one-shot timeout that can be re-armed, e.g. an idle-window timer.
 
     The IO link controllers use this to detect "link idle for N ns"
-    before entering L0s: every packet restarts the countdown. Restarts
-    cancel lazily (the kernel compacts dead entries), and re-arming
-    after an expiry recycles the expired event object.
+    before entering L0s: every packet restarts the countdown, from the
+    moment it is delivered. Restarts cancel lazily (the kernel compacts
+    dead entries), and re-arming after an expiry recycles the expired
+    event object.
     """
 
     def __init__(self, sim: Simulator, duration_ns: int, fn: Callable[[], Any]):
@@ -82,15 +83,23 @@ class RestartableTimeout:
         """True while the countdown is running."""
         return self._event is not None and self._event.pending
 
-    def restart(self) -> None:
-        """(Re)start the countdown from the full duration."""
+    def restart(self, from_ns: int = 0) -> None:
+        """(Re)start the countdown from the full duration.
+
+        The countdown starts now, or at ``from_ns`` if that is later
+        (a window that opens once in-flight traffic has landed).
+        """
         self.cancel()
+        delay = self.duration_ns
+        wait = from_ns - self.sim.now
+        if wait > 0:
+            delay += wait
         spent = self._spent
         if spent is not None and not spent._in_heap:
             self._spent = None
-            self._event = self.sim.reschedule(spent, self.duration_ns)
+            self._event = self.sim.reschedule(spent, delay)
         else:
-            self._event = self.sim.schedule(self.duration_ns, self._expire)
+            self._event = self.sim.schedule(delay, self._expire)
 
     def cancel(self) -> None:
         """Disarm without firing."""

@@ -1,11 +1,12 @@
 """The CLM domain: CHA + LLC + mesh interconnect.
 
 The CLM is powered by two FIVRs (Vccclm0/Vccclm1, paper Fig. 1(c)),
-clocked by one PLL through a gateable clock tree. Its power follows
-the domain voltage between the calibrated nominal (13.4 W at 0.8 V)
-and retention (3.0 W at 0.5 V) points. During a ramp the channel
-integrates the mid-ramp average — a < 0.1 % energy error at the 150 ns
-ramps involved.
+clocked by one PLL through a gateable clock tree. ``Ret`` always
+commands both, so Vccclm1 follows Vccclm0: one settle event lands
+both. Its power follows the domain voltage between the calibrated
+nominal (13.4 W at 0.8 V) and retention (3.0 W at 0.5 V) points,
+read off Vccclm0. During a ramp the channel integrates the mid-ramp
+average — a < 0.1 % energy error at the 150 ns ramps involved.
 """
 
 from __future__ import annotations
@@ -33,16 +34,21 @@ class ClmDomain:
         self.sim = sim
         self.spec = spec
         self.channel = channel
-        self.fivrs = [
-            Fivr(
-                sim,
-                name,
-                nominal_v=spec.nominal_v,
-                retention_v=spec.retention_v,
-                on_voltage_change=self._on_voltage_change,
-            )
-            for name in ("Vccclm0", "Vccclm1")
-        ]
+        leader = Fivr(
+            sim,
+            "Vccclm0",
+            nominal_v=spec.nominal_v,
+            retention_v=spec.retention_v,
+            on_voltage_change=self._on_voltage_change,
+        )
+        follower = Fivr(
+            sim,
+            "Vccclm1",
+            nominal_v=spec.nominal_v,
+            retention_v=spec.retention_v,
+            follows=leader,
+        )
+        self.fivrs = [leader, follower]
         self.pll = Pll(sim, "clm_pll", channel=pll_channel)
         self.clock_tree = ClockTree(sim, "clm", cycle_ns=apmu_cycle_ns)
         #: ``Ret`` control wire (paper Sec. 4.3): both FIVRs drop to

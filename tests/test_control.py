@@ -39,6 +39,7 @@ from repro.control.controllers import (
     controller_def,
 )
 from repro.control.estimators import EWMA_ALPHA, LATENCY_RING_CAPACITY
+from repro.control.plane import ControlPlane
 from repro.fleet import (
     FLEET_CSV_COLUMNS,
     ClusterConfig,
@@ -424,6 +425,23 @@ class TestDeepGates:
             for mc in machine.memory_controllers
         )
         assert machine.links[0].state != "L1"
+
+    def test_gates_defer_while_fire_and_forget_traffic_is_in_flight(
+        self, shallow_machine
+    ):
+        # A response or DRAM charge schedules no completion event; the
+        # forced gates still see it in flight and defer a tick.
+        machine = shallow_machine
+        sim = machine.sim
+        nic, mcs = machine.links[:1], machine.memory_controllers
+        delivery = nic[0].transfer(1_600)
+        completion = mcs[0].access(4_096)
+        assert not ControlPlane._force_l1(nic)
+        assert not ControlPlane._force_self_refresh(mcs)
+        assert nic[0].state == "L0" and mcs[0].state == "active"
+        sim.run(until_ns=sim.now + max(delivery, completion))
+        assert ControlPlane._force_l1(nic)
+        assert ControlPlane._force_self_refresh(mcs)
 
     def test_gated_sleep_saves_energy_over_plain_park(self):
         gated = FleetMachine(controlled_cluster(n=2, knobs=GATE_KNOBS), seed=1)

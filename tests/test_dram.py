@@ -93,6 +93,75 @@ class TestMcAccess:
         assert mc.outstanding == 0
 
 
+class TestFireAndForgetAccesses:
+    """Accesses without ``on_done`` keep a completion deadline, no event."""
+
+    def test_access_schedules_nothing_and_completes_on_time(self, sim):
+        mc, _, _ = make_mc(sim)
+        latency = mc.access(64)
+        assert latency == 93  # 90 ns + 64 B at 21.3 B/ns
+        assert sim.heap_size == 0
+        sim.run(until_ns=92)
+        assert mc.outstanding == 1
+        sim.run(until_ns=93)
+        assert mc.outstanding == 0
+
+    def test_unbounded_run_ends_at_the_last_completion(self, sim):
+        mc, _, _ = make_mc(sim)
+        mc.access(64)
+        sim.run()
+        assert sim.now == 93 and mc.outstanding == 0
+
+    def test_allow_mid_access_enters_cke_off_at_completion(self, sim):
+        mc, _, _ = make_mc(sim)
+        mc.access(64)
+        sim.schedule(40, mc.allow_cke_off.set, True)
+        sim.run(until_ns=92)
+        assert mc.state == "active"
+        sim.run(until_ns=93)
+        assert mc.state == "transitioning"
+        sim.run(until_ns=93 + DDR4_2666.cke_off_entry_ns)
+        assert mc.state == "cke_off" and mc.cke_off_entries == 1
+
+    @pytest.mark.parametrize("sizes", [(4096, 64), (64, 4096)])
+    def test_later_of_two_overlapping_accesses_governs(self, sim, sizes):
+        # 64 B completes at 93 ns and 4 KiB at 282 ns, in either order.
+        mc, _, _ = make_mc(sim)
+        mc.access(sizes[0])
+        mc.access(sizes[1])
+        mc.allow_cke_off.set(True)
+        assert mc.outstanding == 2
+        sim.run(until_ns=100)
+        assert mc.outstanding == 1 and mc.state == "active"
+        sim.run(until_ns=281)
+        assert mc.state == "active"
+        sim.run(until_ns=282)
+        assert mc.outstanding == 0 and mc.state == "transitioning"
+        sim.run(until_ns=292)
+        assert mc.state == "cke_off" and mc.cke_off_entries == 1
+
+    def test_callback_access_overlapping_one_without(self, sim):
+        mc, _, _ = make_mc(sim)
+        done = []
+        mc.access(4096)  # lands at 282 ns
+        mc.access(64, lambda: done.append(sim.now))  # lands at 93 ns
+        mc.allow_cke_off.set(True)
+        sim.run(until_ns=281)
+        assert done == [93] and mc.state == "active"
+        sim.run(until_ns=292)
+        assert mc.state == "cke_off"
+
+    def test_self_refresh_refused_while_an_access_is_in_flight(self, sim):
+        mc, _, _ = make_mc(sim)
+        mc.access(64)
+        with pytest.raises(MemoryControllerError):
+            mc.enter_self_refresh()
+        sim.run(until_ns=93)
+        mc.enter_self_refresh()
+        sim.run()
+        assert mc.state == "self_refresh"
+
+
 class TestCkeOff:
     def test_enters_cke_off_when_allowed_and_idle(self, sim):
         mc, device, _ = make_mc(sim)

@@ -244,6 +244,76 @@ class TestLinkTransfers:
         assert delivered[0] >= PCIE_TIMINGS.l1_exit_ns
 
 
+class TestFireAndForgetTransfers:
+    """Transfers without ``on_delivered`` keep a delivery deadline, no event."""
+
+    def test_transfer_schedules_nothing_and_lands_on_time(self, sim):
+        link, _ = make_pcie(sim)
+        assert link.transfer(1_600) == 100  # 1,600 B at 16 B/ns
+        assert sim.heap_size == 0
+        sim.run(until_ns=99)
+        assert link.outstanding == 1
+        sim.run(until_ns=100)
+        assert link.outstanding == 0
+
+    def test_unbounded_run_ends_at_the_last_delivery(self, sim):
+        link, _ = make_pcie(sim)
+        link.transfer(1_600)
+        sim.run()
+        assert sim.now == 100 and link.outstanding == 0
+
+    def test_outstanding_counts_overlapping_transfers(self, sim):
+        link, _ = make_pcie(sim)
+        link.transfer(16_000)  # lands at 1,000 ns
+        sim.run(until_ns=2)
+        link.transfer(64)  # lands at 6 ns
+        assert link.outstanding == 2
+        sim.run(until_ns=6)
+        assert link.outstanding == 1
+        sim.run(until_ns=1_000)
+        assert link.outstanding == 0
+
+    def test_response_with_allow_asserted_opens_window_at_delivery(self, sim):
+        link, _ = make_pcie(sim)
+        link.allow_l0s.set(True)
+        link.transfer(1_600)  # delivered at 100 ns
+        window = PCIE_TIMINGS.shallow_entry_ns
+        sim.run(until_ns=100 + window - 1)
+        assert link.state == "L0"
+        sim.run(until_ns=100 + window)
+        assert link.state == "L0s"
+
+    def test_allow_rising_mid_transfer_opens_window_at_delivery(self, sim):
+        link, _ = make_pcie(sim)
+        link.transfer(1_600)
+        sim.run(until_ns=50)
+        link.allow_l0s.set(True)
+        sim.run(until_ns=100 + PCIE_TIMINGS.shallow_entry_ns - 1)
+        assert link.state == "L0"
+        sim.run(until_ns=100 + PCIE_TIMINGS.shallow_entry_ns)
+        assert link.state == "L0s"
+
+    def test_callback_transfer_in_flight_holds_the_window(self, sim):
+        link, _ = make_pcie(sim)
+        link.allow_l0s.set(True)
+        link.transfer(3_200, lambda: None)  # delivered at 200 ns
+        link.transfer(1_600)  # delivered at 100 ns
+        sim.run(until_ns=200 + PCIE_TIMINGS.shallow_entry_ns - 1)
+        assert link.state == "L0"
+        sim.run(until_ns=200 + PCIE_TIMINGS.shallow_entry_ns)
+        assert link.state == "L0s"
+
+    def test_enter_l1_refused_until_the_transfer_lands(self, sim):
+        link, _ = make_pcie(sim)
+        link.transfer(1_600)
+        with pytest.raises(LinkError):
+            link.enter_l1()
+        sim.run(until_ns=100)
+        link.enter_l1()
+        sim.run()
+        assert link.state == "L1"
+
+
 class TestLinkPower:
     def test_power_follows_lstate(self, sim):
         link, meter = make_pcie(sim)

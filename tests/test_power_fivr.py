@@ -129,6 +129,71 @@ class TestPreemptiveCommands:
         assert clm.channel.energy_j == pytest.approx(spec.nominal_w * 1e-6)
 
 
+class TestFollowerFivr:
+    """Vccclm1 follows Vccclm0: one ramp event lands both rails."""
+
+    def pair(self, sim):
+        leader = Fivr(sim, "Vccclm0")
+        return leader, Fivr(sim, "Vccclm1", follows=leader)
+
+    def test_follower_schedules_no_ramp_and_lands_with_its_leader(self, sim):
+        leader, follower = self.pair(sim)
+        leader.enter_retention()
+        assert follower.enter_retention() == 150
+        assert sim.heap_size == 1  # the leader's settle only
+        sim.run(until_ns=149)
+        assert leader.ramping and follower.ramping
+        assert follower.voltage == pytest.approx(leader.voltage)
+        sim.run(until_ns=150)
+        assert not follower.ramping and follower.pwr_ok.value
+        assert follower.voltage == pytest.approx(0.5)
+        assert sim.events_processed == 1
+
+    def test_follower_settles_right_after_its_leader(self, sim):
+        leader, follower = self.pair(sim)
+        order = []
+        for fivr in (leader, follower):
+            fivr.pwr_ok.watch(lambda signal, old, new: order.append(signal.name))
+        leader.enter_retention()
+        follower.enter_retention()
+        sim.run()
+        # Both fall on the command, then rise leader first.
+        assert order == ["Vccclm0.PwrOk", "Vccclm1.PwrOk"] * 2
+
+    def test_preempted_pair_settles_together_at_the_new_level(self, sim):
+        leader, follower = self.pair(sim)
+        leader.enter_retention()
+        follower.enter_retention()
+        sim.run(until_ns=50)
+        assert leader.exit_retention() == follower.exit_retention()
+        sim.run()
+        assert sim.now == 100
+        assert follower.voltage == pytest.approx(0.8) and not follower.ramping
+
+    def test_follower_tracks_its_leaders_command_only(self, sim):
+        leader, follower = self.pair(sim)
+        leader.enter_retention()
+        with pytest.raises(VrError):
+            follower.exit_retention()
+
+    def test_one_follower_per_leader_at_the_leaders_slew(self, sim):
+        leader, _ = self.pair(sim)
+        with pytest.raises(VrError):
+            Fivr(sim, "third", follows=leader)
+        with pytest.raises(VrError):
+            Fivr(sim, "fast", slew_v_per_ns=0.004, follows=Fivr(sim, "lead"))
+
+    def test_clm_ret_ramps_both_rails_with_one_event(self, sim, meter):
+        clm = ClmDomain(sim, DEFAULT_BUDGET.clm, meter.channel("clm", "package"))
+        clm.ret.set(True)
+        assert sim.heap_size == 1
+        sim.run(until_ns=149)
+        assert not clm.pwr_ok.value
+        sim.run(until_ns=150)
+        assert clm.pwr_ok.value and clm.at_retention
+        assert clm.channel.power_w == pytest.approx(DEFAULT_BUDGET.clm.retention_w)
+
+
 class TestFivrValidation:
     def test_retention_above_nominal_rejected(self, sim):
         with pytest.raises(VrError):

@@ -159,11 +159,11 @@ class TestArrivalDriver:
     @pytest.mark.parametrize(
         ("name", "qps", "preset", "expected"),
         [
-            ("memcached", 40_000, "low", (2035, "26e1d6403c733af9", 182)),
-            ("memcached-diurnal", 60_000, "low", (2263, "549d745645b4fe14", 119)),
-            ("nginx", 30_000, "low", (2659, "b80dacd00ea6cfea", 103)),
-            ("mysql", 0, "mid", (225, "f544649dcca7c330", 9)),
-            ("replay", 0, "example", (949, "d529d058a2951939", 56)),
+            ("memcached", 40_000, "low", (1645, "7b0a15c5e2e4ef7a", 182)),
+            ("memcached-diurnal", 60_000, "low", (1980, "a1ed03997a64922e", 119)),
+            ("nginx", 30_000, "low", (2381, "7ddbb5a600661a31", 103)),
+            ("mysql", 0, "mid", (203, "b74d2bfc067f8c6d", 9)),
+            ("replay", 0, "example", (819, "1ef602253b15b110", 56)),
         ],
     )
     def test_event_stream_pinned(self, name, qps, preset, expected):
@@ -194,9 +194,9 @@ class TestMixedBoundFleet:
     @pytest.mark.parametrize(
         ("routing", "events", "completed", "digest"),
         [
-            ("power-aware-pack", 17416, 1744, "36cf7a5063111a3f"),
-            ("round-robin", 52422, 1743, "6e89fc79c5831fa9"),
-            ("least-outstanding", 57251, 1743, "55adb8cdfd231f2d"),
+            ("power-aware-pack", 13607, 1744, "36cf7a5063111a3f"),
+            ("round-robin", 47561, 1743, "6e89fc79c5831fa9"),
+            ("least-outstanding", 52235, 1743, "55adb8cdfd231f2d"),
         ],
     )
     def test_rows_pinned(self, routing, events, completed, digest):
@@ -244,7 +244,7 @@ class TestControlPlanePinned:
                 (600, 0, 5, 0, 600, 195778, "P1"),
                 ["P1", "P1", "P1", "P1", "P1", "P1"],
                 [0, 2, 2, 2, 2, 2],
-                43440,
+                34094,
                 "4d4eec510ef734ac",
             ),
             (
@@ -253,7 +253,7 @@ class TestControlPlanePinned:
                 (600, 0, 65, 47, 600, 203699, "P1"),
                 ["P1", "P1", "P1", "P1", "P1", "P2"],
                 [0, 2, 2, 1, 2, 2],
-                43719,
+                34338,
                 "1e8f296b2857faa9",
             ),
         ],

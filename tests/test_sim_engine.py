@@ -121,6 +121,24 @@ class TestRunUntil:
         sim.run()
         assert log == ["late"]
 
+    def test_unbounded_run_ends_at_the_last_horizon_deadline(self, sim):
+        sim.extend_horizon(500)
+        sim.extend_horizon(300)  # an earlier deadline moves nothing
+        sim.schedule(100, lambda: None)
+        sim.run()
+        assert sim.now == 500
+        sim.schedule(200, lambda: None)  # a later event governs
+        sim.run()
+        assert sim.now == 700
+
+    def test_bounded_run_and_reset_ignore_the_horizon(self, sim):
+        sim.extend_horizon(500)
+        sim.run(until_ns=100)
+        assert sim.now == 100
+        sim.reset()
+        sim.run()
+        assert sim.now == 0
+
     def test_reentrant_run_rejected(self, sim):
         def nested():
             sim.run(until_ns=sim.now + 10)
