@@ -7,8 +7,8 @@ The :class:`TimedFsm` base provides:
 * a current state with enter/exit hooks,
 * timed transitions (``goto(state, after_ns=...)``) that can be
   preempted by later ``goto`` calls (e.g. a wake event during entry),
-* an optional transition listener, called after each transition,
-* a transition log for tests and latency decomposition.
+* an optional transition listener, called after each transition
+  (the one place to record transitions: the FSM keeps no log).
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class TimedFsm:
         self._pending: Event | None = None
         self._pending_target: str | None = None
         self._on_transition = on_transition
-        self.log: list[tuple[int, str, str]] = []
 
     # -- transitions -----------------------------------------------------
     def goto(self, state: str, after_ns: int = 0) -> None:
@@ -110,10 +109,8 @@ class TimedFsm:
         hook = self._EXIT_HOOKS.get(old)
         if hook is not None:
             hook(self)
-        now = self.sim.now
         self.state = state
-        self.state_entered_at = now
-        self.log.append((now, old, state))
+        self.state_entered_at = self.sim.now
         hook = self._ENTER_HOOKS.get(state)
         if hook is not None:
             hook(self)

@@ -192,8 +192,8 @@ class TestAndTree:
 class _TrafficLight(TimedFsm):
     STATES = ("Red", "Green", "Yellow")
 
-    def __init__(self, sim):
-        super().__init__(sim, "light", "Red")
+    def __init__(self, sim, on_transition=None):
+        super().__init__(sim, "light", "Red", on_transition)
         self.entered = []
 
     def on_enter_green(self):
@@ -243,10 +243,14 @@ class TestTimedFsm:
             Bad(sim, "bad", "B")
 
     def test_log_records_transitions(self, sim):
-        fsm = _TrafficLight(sim)
+        # The FSM keeps no log of its own; on_transition is the hook.
+        log = []
+        fsm = _TrafficLight(sim, lambda state: log.append((sim.now, state)))
         fsm.goto("Green")
-        fsm.goto("Yellow")
-        assert fsm.log == [(0, "Red", "Green"), (0, "Green", "Yellow")]
+        fsm.goto("Yellow", after_ns=10)
+        sim.run()
+        assert log == [(0, "Green"), (10, "Yellow")]
+        assert not hasattr(fsm, "log")
 
     def test_pending_target_visible(self, sim):
         fsm = _TrafficLight(sim)
@@ -271,6 +275,9 @@ class TestTimedFsm:
         assert fsm.time_in_state() == 70
 
     def test_self_transition_is_noop(self, sim):
-        fsm = _TrafficLight(sim)
-        fsm.goto("Red")
-        assert fsm.log == []
+        log = []
+        fsm = _TrafficLight(sim, log.append)
+        sim.schedule(5, fsm.goto, "Red")
+        sim.run()
+        assert log == []
+        assert fsm.state_entered_at == 0

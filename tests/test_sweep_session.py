@@ -237,7 +237,7 @@ class TestWalkerLeaves:
             ServerMachine(config_by_name("CPC1A"), seed=1)
         )
         assert len(checkpoint._dict_plans) == 127
-        assert len(checkpoint._refills) == 89
+        assert len(checkpoint._refills) == 83
         assert len(checkpoint._slot_plans) == 30
 
     def test_machine_specs_and_config_are_leaves(self):
