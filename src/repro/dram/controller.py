@@ -122,7 +122,8 @@ class MemoryController:
         else:
             self._deadlines = (done_ns,)
             self._last_done_ns = done_ns
-        sim.extend_horizon(done_ns)
+        if done_ns > sim.horizon_ns:
+            sim.horizon_ns = done_ns
         if self.allow_cke_off.value:
             self._maybe_enter_cke_off()
         return latency

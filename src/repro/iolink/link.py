@@ -120,14 +120,13 @@ class IoLink:
         if n_bytes <= 0:
             raise LinkError(f"transfer size must be positive, got {n_bytes}")
         self.transfers += 1
-        if on_delivered is not None:
-            self._outstanding += 1
         self._idle_timer.cancel()
         wake_ns = self._wake_for_traffic()
         serialize_ns = max(1, round(n_bytes / self.timings.bandwidth_bytes_per_ns))
         total = wake_ns + serialize_ns
         sim = self.sim
         if on_delivered is not None:
+            self._outstanding += 1
             sim.schedule(total, self._delivered, on_delivered, *args)
             return total
         now = sim.now
@@ -143,8 +142,10 @@ class IoLink:
         else:
             self._deadlines = (delivery_ns,)
             self._last_delivery_ns = delivery_ns
-        sim.extend_horizon(delivery_ns)
-        self._maybe_arm_idle_timer()
+        if delivery_ns > sim.horizon_ns:
+            sim.horizon_ns = delivery_ns
+        if self.allow_l0s.value:
+            self._maybe_arm_idle_timer()
         return total
 
     @property
@@ -155,10 +156,6 @@ class IoLink:
             return self._outstanding
         return self._outstanding + sum(1 for t in self._deadlines if t > now)
 
-    def _busy(self) -> bool:
-        """Whether any transaction is in flight (``outstanding > 0``)."""
-        return bool(self._outstanding) or self._last_delivery_ns > self.sim.now
-
     @property
     def state(self) -> str:
         """Current LTSSM state label."""
@@ -167,7 +164,7 @@ class IoLink:
     # -- GPMU (PC6) interface -------------------------------------------------
     def enter_l1(self, on_done: Callable[[], None] | None = None) -> int:
         """Command deep L1 entry (PC6 flow); returns the latency."""
-        if self._busy():
+        if self.outstanding:
             raise LinkError(f"{self.name}: cannot enter L1 with traffic in flight")
         if self.ltssm.state == "L1":
             if on_done is not None:
@@ -244,7 +241,10 @@ class IoLink:
             self._idle_timer.restart(self._last_delivery_ns)
 
     def _idle_window_elapsed(self) -> None:
-        if self._busy() or not self.allow_l0s.value:
+        # Every transfer cancels the window and re-arms it no earlier
+        # than its delivery, so no fire-and-forget transfer is in
+        # flight here.
+        if self._outstanding or not self.allow_l0s.value:
             return
         if self.ltssm.state != "L0":
             return

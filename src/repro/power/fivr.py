@@ -68,10 +68,11 @@ class Fivr:
         Optional callback ``fn(voltage)`` invoked whenever the output
         starts settling at a new level (used for power integration).
     follows:
-        A leader FIVR this one tracks (Vccclm1 follows Vccclm0). Every
-        command to the leader is followed at once by the same command
-        to this one, so both ramp alike: the follower schedules no ramp
-        event and settles inside the leader's settle, right after it.
+        A leader FIVR this one tracks (Vccclm1 follows Vccclm0): the
+        leader passes each command on to it, in the same instant, and
+        its settle lands the follower right after itself. A follower
+        takes no command of its own, schedules no ramp event and
+        reports no voltage change.
     """
 
     def __init__(
@@ -91,10 +92,12 @@ class Fivr:
         if follows is not None:
             if follows.leader is not None or follows._follower is not None:
                 raise VrError(f"{follows.name} cannot lead another FIVR")
-            if slew_v_per_ns != follows.slew_v_per_ns:
-                raise VrError("a follower FIVR must slew at its leader's rate")
+            if (nominal_v, voltage_to_vid(retention_v), slew_v_per_ns) != (
+                follows.nominal_v, follows.rvid, follows.slew_v_per_ns
+            ):
+                raise VrError("a follower FIVR must match its leader's levels")
             follows._follower = self
-        #: The FIVR this one follows (None: it schedules its own ramps).
+        #: The FIVR this one follows (None: it takes its own commands).
         self.leader = follows
         self._follower: Fivr | None = None
         self.sim = sim
@@ -149,36 +152,37 @@ class Fivr:
         """
         if voltage <= 0:
             raise VrError(f"voltage must be positive, got {voltage}")
-        leader = self.leader
-        if leader is not None and voltage != leader._target:
-            raise VrError(f"{self.name} must be commanded to its leader's target")
+        if self.leader is not None:
+            raise VrError(f"{self.name} follows {self.leader.name}: command that")
         current = self.voltage  # snapshot before cancelling the ramp
-        was_ramping = self.ramping
         ramp = self._ramp_event
         if ramp is not None:
             ramp.cancel()
             self._ramp_event = None
-        self.ramping = False
+            self.ramping = False
         self._voltage = current
         self._target = voltage
         if abs(voltage - current) < 1e-12:
             self._voltage = voltage
-            if was_ramping and self.on_voltage_change is not None:
+            if ramp is not None and self.on_voltage_change is not None:
                 # The cancelled ramp had reported its start; report
                 # where the output settled instead.
                 self.on_voltage_change(voltage)
             self.pwr_ok.set(True)
+            if self._follower is not None:
+                self._follower._take_command(self)
             return 0
         self.pwr_ok.set(False)
         self.ramp_count += 1
         self._ramp_from = current
         self._ramp_started_at = self.sim.now
         ramp_ns = slew_time_ns(voltage - current, self.slew_v_per_ns)
-        if leader is None:
-            self._ramp_event = self.sim.schedule(ramp_ns, self._settle)
+        self._ramp_event = self.sim.schedule(ramp_ns, self._settle)
         self.ramping = True
         if self.on_voltage_change is not None:
             self.on_voltage_change(current)
+        if self._follower is not None:
+            self._follower._take_command(self)
         return ramp_ns
 
     def enter_retention(self) -> int:
@@ -198,10 +202,26 @@ class Fivr:
             self.on_voltage_change(self._voltage)
         self.pwr_ok.set(True)
         follower = self._follower
-        if follower is not None and follower.ramping:
-            # Commanded right after this FIVR with the same ramp, the
-            # follower lands now, next, as its own event would have.
+        if follower is not None:
+            # Same command, same ramp: the follower lands now, next, as
+            # its own settle event (one seq later) would have.
             follower._settle()
+
+    def _take_command(self, leader: Fivr) -> None:
+        """Apply the command ``leader`` has just taken (a follower only).
+
+        The two outputs are always equal, so the follower's ramp is the
+        leader's: the same state, and ``PwrOk`` follows right after the
+        leader's, in the order two separate commands would give.
+        """
+        self._voltage = leader._voltage
+        self._target = leader._target
+        self.ramping = ramping = leader.ramping
+        if ramping:
+            self.ramp_count += 1
+            self._ramp_from = leader._ramp_from
+            self._ramp_started_at = leader._ramp_started_at
+        self.pwr_ok.set(not ramping)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Fivr({self.name!r}, {self.voltage:.3f} V -> {self._target:.3f} V)"

@@ -165,8 +165,14 @@ class Simulator:
         self._heap_compactions: int = 0
         self._peak_heap_size: int = 0
         #: The last completion deadline of work that runs without an
-        #: event of its own (see :meth:`extend_horizon`).
-        self._horizon: int = 0
+        #: event of its own: fire-and-forget traffic (a link transfer or
+        #: memory access nothing waits on) keeps its completion as a
+        #: deadline and raises this to it. An unbounded :meth:`run`
+        #: carries the clock this far, as a completion event would
+        #: have. A plain attribute: the models raise it inline, once per
+        #: transfer, where a method call would cost more than half the
+        #: event it replaces.
+        self.horizon_ns: int = 0
         self._running = False
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "0") not in ("", "0")
@@ -372,17 +378,6 @@ class Simulator:
             self._peak_heap_size = len(queue)
         return event
 
-    def extend_horizon(self, time_ns: int) -> None:
-        """Note work that completes at ``time_ns`` without an event.
-
-        Fire-and-forget traffic (a link transfer or memory access that
-        nothing waits on) keeps its completion as a deadline instead of
-        scheduling an event. An unbounded :meth:`run` still carries the
-        clock to the last such deadline, as the completion event did.
-        """
-        if time_ns > self._horizon:
-            self._horizon = time_ns
-
     # -- lazy-deletion bookkeeping ----------------------------------------
     def _note_cancelled(self) -> None:
         """An in-heap event was cancelled; compact when it pays off."""
@@ -440,8 +435,8 @@ class Simulator:
         When ``until_ns`` is given, the clock is advanced to exactly
         ``until_ns`` on return even if the queue drained earlier, so
         that power/residency integration windows are well defined.
-        Without it, the run ends at the last event or the last
-        :meth:`extend_horizon` deadline, whichever is later.
+        Without it, the run ends at the last event or at
+        :attr:`horizon_ns`, whichever is later.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -477,8 +472,8 @@ class Simulator:
                     event.fn(*event.args)
             if until_ns is not None:
                 self.now = until_ns
-            elif self._horizon > self.now:
-                self.now = self._horizon
+            elif self.horizon_ns > self.now:
+                self.now = self.horizon_ns
         finally:
             self._running = False
 
@@ -526,7 +521,7 @@ class Simulator:
         self._cancelled_in_heap = 0
         self._heap_compactions = 0
         self._peak_heap_size = 0
-        self._horizon = 0
+        self.horizon_ns = 0
         if self._sanitizer is not None:
             self._sanitizer = EventStreamSanitizer()
         if seed is None:

@@ -91,9 +91,8 @@ class RestartableTimeout:
         """
         self.cancel()
         delay = self.duration_ns
-        wait = from_ns - self.sim.now
-        if wait > 0:
-            delay += wait
+        if from_ns > self.sim.now:
+            delay += from_ns - self.sim.now
         spent = self._spent
         if spent is not None and not spent._in_heap:
             self._spent = None

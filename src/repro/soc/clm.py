@@ -49,6 +49,8 @@ class ClmDomain:
             follows=leader,
         )
         self.fivrs = [leader, follower]
+        #: ``Ret`` commands Vccclm0, which passes it on to Vccclm1.
+        self._vccclm0 = leader
         self.pll = Pll(sim, "clm_pll", channel=pll_channel)
         self.clock_tree = ClockTree(sim, "clm", cycle_ns=apmu_cycle_ns)
         #: ``Ret`` control wire (paper Sec. 4.3): both FIVRs drop to
@@ -85,14 +87,13 @@ class ClmDomain:
 
     # -- internals ---------------------------------------------------------
     def _on_ret_change(self, signal: Signal, old: bool, new: bool) -> None:
-        for fivr in self.fivrs:
-            if new:
-                fivr.enter_retention()
-            else:
-                fivr.exit_retention()
+        if new:
+            self._vccclm0.enter_retention()
+        else:
+            self._vccclm0.exit_retention()
 
     def _on_voltage_change(self, voltage_v: float) -> None:
-        fivr = self.fivrs[0]
+        fivr = self._vccclm0
         if fivr.ramping:
             # Account the ramp interval at the midpoint power.
             midpoint = (

@@ -130,58 +130,64 @@ class TestPreemptiveCommands:
 
 
 class TestFollowerFivr:
-    """Vccclm1 follows Vccclm0: one ramp event lands both rails."""
+    """Vccclm1 follows Vccclm0: one command and one ramp event move both."""
 
     def pair(self, sim):
         leader = Fivr(sim, "Vccclm0")
         return leader, Fivr(sim, "Vccclm1", follows=leader)
 
-    def test_follower_schedules_no_ramp_and_lands_with_its_leader(self, sim):
+    def test_a_leader_command_ramps_both_with_one_event(self, sim):
         leader, follower = self.pair(sim)
-        leader.enter_retention()
-        assert follower.enter_retention() == 150
+        assert leader.enter_retention() == 150
+        assert follower.ramping and follower.target_v == pytest.approx(0.5)
         assert sim.heap_size == 1  # the leader's settle only
-        sim.run(until_ns=149)
-        assert leader.ramping and follower.ramping
+        sim.run(until_ns=75)
         assert follower.voltage == pytest.approx(leader.voltage)
         sim.run(until_ns=150)
         assert not follower.ramping and follower.pwr_ok.value
         assert follower.voltage == pytest.approx(0.5)
         assert sim.events_processed == 1
+        assert follower.ramp_count == leader.ramp_count == 1
 
-    def test_follower_settles_right_after_its_leader(self, sim):
+    def test_follower_pwr_ok_moves_right_after_its_leaders(self, sim):
         leader, follower = self.pair(sim)
         order = []
         for fivr in (leader, follower):
             fivr.pwr_ok.watch(lambda signal, old, new: order.append(signal.name))
         leader.enter_retention()
-        follower.enter_retention()
         sim.run()
-        # Both fall on the command, then rise leader first.
+        # Both fall on the command, then rise, leader first each time.
         assert order == ["Vccclm0.PwrOk", "Vccclm1.PwrOk"] * 2
 
     def test_preempted_pair_settles_together_at_the_new_level(self, sim):
         leader, follower = self.pair(sim)
         leader.enter_retention()
-        follower.enter_retention()
         sim.run(until_ns=50)
-        assert leader.exit_retention() == follower.exit_retention()
+        assert leader.exit_retention() == 50
         sim.run()
         assert sim.now == 100
         assert follower.voltage == pytest.approx(0.8) and not follower.ramping
 
-    def test_follower_tracks_its_leaders_command_only(self, sim):
+    def test_cancelled_ramp_leaves_both_at_the_level(self, sim):
         leader, follower = self.pair(sim)
         leader.enter_retention()
-        with pytest.raises(VrError):
-            follower.exit_retention()
+        leader.exit_retention()  # same instant: no ramp at all
+        assert not follower.ramping and follower.pwr_ok.value
+        assert follower.voltage == pytest.approx(0.8)
 
-    def test_one_follower_per_leader_at_the_leaders_slew(self, sim):
+    def test_follower_takes_no_command_of_its_own(self, sim):
+        _, follower = self.pair(sim)
+        with pytest.raises(VrError):
+            follower.enter_retention()
+
+    def test_one_follower_per_leader_at_the_leaders_levels(self, sim):
         leader, _ = self.pair(sim)
         with pytest.raises(VrError):
             Fivr(sim, "third", follows=leader)
         with pytest.raises(VrError):
             Fivr(sim, "fast", slew_v_per_ns=0.004, follows=Fivr(sim, "lead"))
+        with pytest.raises(VrError):
+            Fivr(sim, "low", retention_v=0.6, follows=Fivr(sim, "lead2"))
 
     def test_clm_ret_ramps_both_rails_with_one_event(self, sim, meter):
         clm = ClmDomain(sim, DEFAULT_BUDGET.clm, meter.channel("clm", "package"))

@@ -121,9 +121,8 @@ class TestRunUntil:
         sim.run()
         assert log == ["late"]
 
-    def test_unbounded_run_ends_at_the_last_horizon_deadline(self, sim):
-        sim.extend_horizon(500)
-        sim.extend_horizon(300)  # an earlier deadline moves nothing
+    def test_unbounded_run_ends_at_the_horizon(self, sim):
+        sim.horizon_ns = 500
         sim.schedule(100, lambda: None)
         sim.run()
         assert sim.now == 500
@@ -132,7 +131,7 @@ class TestRunUntil:
         assert sim.now == 700
 
     def test_bounded_run_and_reset_ignore_the_horizon(self, sim):
-        sim.extend_horizon(500)
+        sim.horizon_ns = 500
         sim.run(until_ns=100)
         assert sim.now == 100
         sim.reset()
