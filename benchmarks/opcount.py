@@ -3,7 +3,6 @@
 ::
 
     python3 benchmarks/opcount.py --workload server_apc [--scale full|tiny]
-        [--root DIR]
 
 Runs every cell of perfbench's seed-0 grid for the workload in this
 process, one ``repro.api.run_cell`` each, and counts what the
@@ -15,12 +14,12 @@ line.
 
 A timing on a shared host spreads by several percent from run to run;
 these counts repeat exactly on one interpreter, so two trees compare on
-one host without noise: ``--root DIR`` counts the simulator in
-``DIR/src`` (for example a ``git archive`` of the parent commit) on
-this checkout's grid. The counts depend on the Python version (its
-bytecode), so they are a diagnostic, not a CI gate. Tracing makes a
-pass about 20 times slower: ``server_apc`` at full scale takes about a
-minute. Stdlib only.
+one host without noise. The simulator counted is the one in this
+checkout's ``src/``: to count a parent commit, extract it with ``git
+archive``, copy this file into its ``benchmarks/`` and run it there.
+The counts depend on the Python version (its bytecode), so they are a
+diagnostic, not a CI gate. Tracing makes a pass 10 to 15 times slower:
+``server_apc`` at full scale takes 20 to 30 s. Stdlib only.
 """
 
 from __future__ import annotations
@@ -73,10 +72,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=("server_apc", "fleet_diurnal", "sweep_short_cells"))
     parser.add_argument("--scale", choices=("full", "tiny"), default="full")
-    parser.add_argument("--root", type=Path, default=ROOT,
-                        help="checkout whose src/ is counted (default: this one)")
     args = parser.parse_args(argv)
-    sys.path[:0] = [str(ROOT), str(args.root.resolve() / "src")]
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     from perfbench.workloads import WORKLOADS
     from repro.api import run_cell
 

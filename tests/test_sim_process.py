@@ -204,6 +204,14 @@ class TestRestartableTimeout:
         sim.run()
         assert fired == [96]
 
+    @pytest.mark.parametrize(("from_ns", "fires_at"), [(100, 164), (5, 74)])
+    def test_countdown_starts_at_from_ns_or_now(self, sim, from_ns, fires_at):
+        fired = []
+        timeout = RestartableTimeout(sim, 64, lambda: fired.append(sim.now))
+        sim.schedule(10, timeout.restart, from_ns)
+        sim.run()
+        assert fired == [fires_at]
+
     def test_cancel_prevents_firing(self, sim):
         fired = []
         timeout = RestartableTimeout(sim, 64, lambda: fired.append(sim.now))
