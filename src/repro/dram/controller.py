@@ -156,7 +156,7 @@ class MemoryController:
             or self.state != "active"
             or self._outstanding
         ):
-            # A callback access re-checks when it completes.
+            # A callback access in flight re-checks when it completes.
             return
         done_ns = self._last_done_ns
         now = self.sim.now
