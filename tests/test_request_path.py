@@ -26,12 +26,13 @@ from repro.fleet import (
 from repro.fleet.routing import POLICY_FUNCTIONS
 from repro.fleet.state import FleetState
 from repro.scenarios import build
-from repro.server.configs import cpc1a
+from repro.server.configs import config_by_name, cpc1a
 from repro.server.machine import ServerMachine
 from repro.sim.engine import RNG_BLOCK, Simulator
 from repro.soc.cpu import CoreError, Job
 from repro.units import MS
 from repro.workloads.base import Request
+from repro.workloads.upi_traffic import CompositeWorkload, UpiSnoopTraffic
 
 #: Bounds spanning numpy's 32-bit (buffered) and 64-bit draw paths.
 BOUNDS = (
@@ -135,16 +136,16 @@ class TestRandbelowBlocks:
         assert machine.sim._block_state == {} and machine.sim._block == []
 
 
-def _event_digest(name: str, qps: float, preset: str) -> tuple[int, str, int]:
+def _event_digest(config: str, workload, until_ns: int) -> tuple[int, str, int]:
     """(events, digest of every dispatched (time, seq), completions)."""
-    machine = ServerMachine(cpc1a(), seed=7)
-    build(name, qps, preset).start(machine.sim, machine)
+    machine = ServerMachine(config_by_name(config), seed=7)
+    workload.start(machine.sim, machine)
     sim = machine.sim
     digest = hashlib.sha256()
     events = 0
     while True:
         time_ns = sim.peek()
-        if time_ns is None or time_ns > 4 * MS:
+        if time_ns is None or time_ns > until_ns:
             break
         _, seq, _ = sim._queue[0]
         digest.update(f"{time_ns}:{seq}\n".encode())
@@ -153,21 +154,50 @@ def _event_digest(name: str, qps: float, preset: str) -> tuple[int, str, int]:
     return events, digest.hexdigest()[:16], machine.requests_completed
 
 
+#: (config, scenario, qps, preset, window in ms, (events, digest,
+#: completions)). The Cdeep window holds 20 PC6 cycles.
+_STREAM_PINS = [
+    ("CPC1A", "memcached", 40_000, "low", 4, (1645, "7b0a15c5e2e4ef7a", 182)),
+    ("CPC1A", "memcached-diurnal", 60_000, "low", 4, (1980, "a1ed03997a64922e", 119)),
+    ("CPC1A", "nginx", 30_000, "low", 4, (2381, "7ddbb5a600661a31", 103)),
+    ("CPC1A", "mysql", 0, "mid", 4, (203, "b74d2bfc067f8c6d", 9)),
+    ("CPC1A", "replay", 0, "example", 4, (819, "1ef602253b15b110", 56)),
+    ("CPC1A", "kafka", 0, "low", 4, (116, "2e0eac375ad62947", 4)),
+    ("CPC1A", "kafka", 0, "high", 4, (55, "d8b09b2c2e567115", 0)),
+    ("CPC1A", "rpc-fanout", 8_000, "low", 4, (1086, "fcb5b6e07ac01dee", 144)),
+    ("Cdeep", "memcached", 4_000, "low", 20, (1659, "23e66bb523e8a6bc", 108)),
+]
+
+
 class TestArrivalDriver:
-    """The driver fires at the times, with the seqs, the generator loop did."""
+    """Streams and the PC6 flow fire at the times, with the seqs, that
+    they had as generator processes."""
 
     @pytest.mark.parametrize(
-        ("name", "qps", "preset", "expected"),
-        [
-            ("memcached", 40_000, "low", (1645, "7b0a15c5e2e4ef7a", 182)),
-            ("memcached-diurnal", 60_000, "low", (1980, "a1ed03997a64922e", 119)),
-            ("nginx", 30_000, "low", (2381, "7ddbb5a600661a31", 103)),
-            ("mysql", 0, "mid", (203, "b74d2bfc067f8c6d", 9)),
-            ("replay", 0, "example", (819, "1ef602253b15b110", 56)),
+        ("config", "name", "qps", "preset", "window_ms", "expected"),
+        _STREAM_PINS,
+        # The CPC1A ids keep the form they had before the config column.
+        ids=[
+            f"{n}-{q}-{p}-expected{i}" if c == "CPC1A" else f"{c}-{n}-{q}-{p}"
+            for i, (c, n, q, p, _, _) in enumerate(_STREAM_PINS)
         ],
     )
-    def test_event_stream_pinned(self, name, qps, preset, expected):
-        assert _event_digest(name, qps, preset) == expected
+    def test_event_stream_pinned(self, config, name, qps, preset, window_ms, expected):
+        workload = build(name, qps, preset)
+        assert _event_digest(config, workload, window_ms * MS) == expected
+
+    @pytest.mark.parametrize(
+        ("config", "expected"),
+        [
+            ("CPC1A", (5282, "671a1ec5b7665dfc", 109)),
+            ("Cdeep", (3425, "06fe0248b8caf632", 108)),
+        ],
+    )
+    def test_snoop_overlay_pinned(self, config, expected):
+        snoops = UpiSnoopTraffic(10_000)
+        workload = CompositeWorkload([build("memcached", 4_000, "low"), snoops])
+        assert _event_digest(config, workload, 20 * MS) == expected
+        assert snoops.snoops_sent == 204
 
 
 def _row_digest(row: dict) -> str:
