@@ -131,18 +131,15 @@ def check_wall_clock(ctx: FileContext) -> Iterator[Finding]:
 
 # -- RPR002 ----------------------------------------------------------------
 
-#: Kernel scheduling entry points and their time-argument position.
-_SCHEDULE_TIME_ARG = {
+#: Kernel scheduling entry points and timer constructors, and the
+#: position of their time (or duration) argument.
+_TIME_ARG = {
     "schedule": 0,
     "schedule_at": 0,
     "reschedule": 1,
+    "PeriodicTimer": 1,
+    "RestartableTimeout": 1,
 }
-
-#: Process/timer commands whose first argument is a duration.
-_TIME_CONSTRUCTORS = frozenset({"Delay", "PeriodicTimer", "RestartableTimeout"})
-#: Of those, the constructors whose duration sits at argument 1 (after
-#: the simulator).
-_TIME_ARG_ONE = frozenset({"PeriodicTimer", "RestartableTimeout"})
 
 
 def _float_in_expr(node: ast.expr) -> ast.expr | None:
@@ -163,7 +160,7 @@ def _float_in_expr(node: ast.expr) -> ast.expr | None:
 @register_rule(
     "RPR002",
     name="float-simulation-time",
-    summary="float literal or true division flowing into a schedule/Delay time",
+    summary="float literal or true division flowing into a schedule/timer time",
     domains=("sim", "tools", "test"),
 )
 def check_float_times(ctx: FileContext) -> Iterator[Finding]:
@@ -174,9 +171,9 @@ def check_float_times(ctx: FileContext) -> Iterator[Finding]:
     determinism) or raise at runtime — which the kernel now does. This
     rule moves that failure to lint time: the time argument of
     ``schedule``/``schedule_at``/``reschedule`` and the duration of
-    ``Delay``/``PeriodicTimer``/``RestartableTimeout`` must not
-    contain a float literal or a top-level true division (``/``
-    always yields ``float``; use ``//`` or the rounding helpers in
+    ``PeriodicTimer``/``RestartableTimeout`` must not contain a float
+    literal or a top-level true division (``/`` always yields
+    ``float``; use ``//`` or the rounding helpers in
     :mod:`repro.units`).
 
     Tests that deliberately pass floats to assert the kernel raises
@@ -192,13 +189,8 @@ def check_float_times(ctx: FileContext) -> Iterator[Finding]:
             callee = func.id
         else:
             continue
-        if callee in _SCHEDULE_TIME_ARG:
-            index = _SCHEDULE_TIME_ARG[callee]
-        elif callee in _TIME_CONSTRUCTORS:
-            index = 1 if callee in _TIME_ARG_ONE else 0
-        else:
-            continue
-        if len(node.args) <= index:
+        index = _TIME_ARG.get(callee)
+        if index is None or len(node.args) <= index:
             continue
         culprit = _float_in_expr(node.args[index])
         if culprit is not None:
@@ -683,9 +675,8 @@ def check_clock_and_wire_writes(ctx: FileContext) -> Iterator[Finding]:
     The rule flags any assignment (plain, augmented or annotated,
     unpacking included) to ``<expr>.now`` outside the kernel module,
     and to ``<expr>.value`` where ``<expr>`` is not ``self`` — a class
-    writing its own ``value`` (``Signal.set``, ``WaitEvent.trigger``)
-    is fine. Drive wires with ``Signal.set`` and advance time with
-    ``sim.run``/``sim.step``.
+    writing its own ``value`` (``Signal.set``) is fine. Drive wires
+    with ``Signal.set`` and advance time with ``sim.run``/``sim.step``.
     """
     kernel = _is_kernel(ctx)
     for node in ast.walk(ctx.tree):

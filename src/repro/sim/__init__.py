@@ -2,14 +2,14 @@
 
 The kernel is deliberately small: a binary-heap event queue
 (:class:`~repro.sim.engine.Simulator`), cancellable events
-(:class:`~repro.sim.engine.Event`), generator-based processes
-(:mod:`repro.sim.process`) and periodic timers
+(:class:`~repro.sim.engine.Event`) and timers
 (:mod:`repro.sim.timers`). Every hardware model in the library is
-driven by one shared :class:`Simulator` instance.
+driven by one shared :class:`Simulator` instance, and every timed flow
+is a chain of scheduled callbacks: a step does its work and schedules
+the next.
 """
 
 from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.process import Process, Delay, WaitEvent, Interrupt
 from repro.sim.sanitize import AmbiguousTimestamp, EventStreamSanitizer, SanitizerReport
 from repro.sim.timers import PeriodicTimer
 
@@ -20,9 +20,5 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "SanitizerReport",
-    "Process",
-    "Delay",
-    "WaitEvent",
-    "Interrupt",
     "PeriodicTimer",
 ]

@@ -25,8 +25,8 @@ leaves the kernel in the state a plain one does.
 
 The clock is an integer nanosecond count. Scheduling at a non-integral
 time is rejected with :class:`SimulationError` — silently truncating
-(e.g. ``Delay(2.7)``) would break the "an int-ns clock plus a seed
-fully determines a run" contract.
+(e.g. ``schedule(2.7, fn)``) would break the "an int-ns clock plus a
+seed fully determines a run" contract.
 
 Example
 -------
@@ -347,8 +347,8 @@ class Simulator:
         """Re-arm a fired (or cancelled-and-retired) event object.
 
         The event keeps its ``fn``/``args`` and gets a fresh
-        ``(time, seq)`` identity, so periodic timers and process
-        resumptions recycle one :class:`Event` instead of allocating
+        ``(time, seq)`` identity, so periodic timers and arrival
+        streams recycle one :class:`Event` instead of allocating
         per tick. The object must not still sit in the heap — re-arming
         a queued event would corrupt the heap invariant.
         """

@@ -15,10 +15,12 @@ exit (wake event)::
 
 Each firmware stage costs a mailbox round-trip
 (``firmware_step_ns``); hardware steps take their component
-latencies. The flow is **not preemptive**: a wake event arriving
-mid-entry is honoured only when the entry flow completes — this
-firmware property is what produces the Cdeep latency spikes the paper
-shows at high load (Fig. 5).
+latencies. Each step of the flow is one method that schedules the
+next; a stage that commands several components at once moves on when
+the last of them reports done. The flow is **not preemptive**: a wake
+event arriving mid-entry is honoured only when the entry flow
+completes — this firmware property is what produces the Cdeep latency
+spikes the paper shows at high load (Fig. 5).
 
 Resulting latencies with default timings: entry ~29 µs, exit ~40 µs —
 consistent with Table 1's "> 50 µs" worst-case transition to open the
@@ -28,10 +30,10 @@ path to memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.hw.signals import AndTree, Signal
 from repro.sim.engine import Simulator
-from repro.sim.process import Delay, Process, WaitEvent
 from repro.soc.clm import ClmDomain
 from repro.soc.package import PackageController, PackageCState
 from repro.units import US
@@ -85,6 +87,10 @@ class Gpmu(PackageController):
         self.wakeup.watch(self._on_wakeup_signal)
         self._flow_active = False
         self._wake_pending = False
+        #: Completions the current stage still waits for, plus one
+        #: while it is still issuing commands (see :meth:`_open_stage`);
+        #: :meth:`_close_stage` records the step that follows it.
+        self._stage_pending = 0
         self.pc6_entries = 0
         self.pc6_exits = 0
         for link in links:
@@ -99,7 +105,9 @@ class Gpmu(PackageController):
         self._wake_pending = True
         if not self._flow_active and self.package_state == _PC6:
             self._flow_active = True
-            Process(self.sim, self._exit_flow(), name="gpmu-exit")
+            # Start one zero-delay event later: without that event every
+            # later seq shifts, and the pinned event streams with it.
+            self.sim.schedule(0, self._exit_begin)
 
     # -- wake sources ----------------------------------------------------
     def _on_link_wake(self, link_name: str) -> None:
@@ -114,41 +122,56 @@ class Gpmu(PackageController):
     # -- entry -------------------------------------------------------------
     def _on_all_cc6_change(self, signal: Signal, old: bool, new: bool) -> None:
         if new and not self._flow_active and self.memory_path_open:
-            self._flow_active = True
-            Process(self.sim, self._entry_flow(), name="gpmu-entry")
+            self._begin_entry()
 
-    def _entry_flow(self):
-        timings = self.timings
+    def _begin_entry(self) -> None:
+        self._flow_active = True
+        # One zero-delay event later, as in _trigger_exit.
+        self.sim.schedule(0, self._entry_drain)
+
+    def _entry_drain(self) -> None:
         self.residency.enter(_PC2)
-        yield Delay(timings.pc2_drain_ns)
+        self.sim.schedule(self.timings.pc2_drain_ns, self._entry_drained)
+
+    def _entry_drained(self) -> None:
         # A wake (or a core popping back to CC0) this early aborts
         # cheaply from PC2 — nothing has been powered down yet.
         if self._wake_pending or not self.all_cc6.value:
             self._finish_flow_to_pc0()
             return
-        yield Delay(timings.firmware_step_ns)
+        self.sim.schedule(self.timings.firmware_step_ns, self._entry_park_io)
+
+    def _entry_park_io(self) -> None:
         # Stage: IOs to L1 and DRAM to self-refresh, concurrently.
-        barrier = _Barrier()
+        self._open_stage()
         for link in self.links:
             if link.state != "L1":
-                barrier.add()
-                link.enter_l1(barrier.done)
+                self._stage_pending += 1
+                link.enter_l1(self._stage_done)
         for mc in self.memory_controllers:
-            barrier.add()
-            mc.enter_self_refresh(barrier.done)
-        yield from barrier.wait()
-        yield Delay(timings.firmware_step_ns)
+            self._stage_pending += 1
+            mc.enter_self_refresh(self._stage_done)
+        self._close_stage(self._entry_io_parked)
+
+    def _entry_io_parked(self) -> None:
+        self.sim.schedule(self.timings.firmware_step_ns, self._entry_gate_uncore)
+
+    def _entry_gate_uncore(self) -> None:
         # Stage: clock-gate the uncore, stop the PLLs, drop CLM to
         # retention (the FIVR ramp completes before PC6 is declared).
         self.clm.clock_tree.clk_gate.set(True)
         for pll in self.uncore_plls:
             pll.power_off()
-        barrier = _Barrier()
-        barrier.add()
+        self._open_stage()
+        self._stage_pending += 1
         self.clm.ret.set(True)
-        self._on_pwr_ok(self.clm.pwr_ok, barrier.done)
-        yield from barrier.wait()
-        yield Delay(timings.firmware_step_ns)
+        self._on_pwr_ok(self.clm.pwr_ok, self._stage_done)
+        self._close_stage(self._entry_retained)
+
+    def _entry_retained(self) -> None:
+        self.sim.schedule(self.timings.firmware_step_ns, self._entry_declare)
+
+    def _entry_declare(self) -> None:
         self.pc6_entries += 1
         self.residency.enter(_PC6)
         self._flow_active = False
@@ -156,38 +179,76 @@ class Gpmu(PackageController):
             self._trigger_exit()
 
     # -- exit ----------------------------------------------------------------
-    def _exit_flow(self):
-        timings = self.timings
+    def _exit_begin(self) -> None:
         self.residency.enter(_TRANSITION)
-        yield Delay(timings.firmware_step_ns)
+        self.sim.schedule(self.timings.firmware_step_ns, self._exit_power_up)
+
+    def _exit_power_up(self) -> None:
         # Stage: power the PLLs and raise the CLM voltage, concurrently.
-        barrier = _Barrier()
+        self._open_stage()
         for pll in self.uncore_plls:
-            barrier.add()
-            pll.power_on(barrier.done)
-        barrier.add()
+            self._stage_pending += 1
+            pll.power_on(self._stage_done)
+        self._stage_pending += 1
         self.clm.ret.set(False)
-        self._on_pwr_ok(self.clm.pwr_ok, barrier.done)
-        yield from barrier.wait()
-        self.clm.clock_tree.clk_gate.set(False)
-        yield Delay(self.clm.clock_tree.gate_latency_ns)
-        yield Delay(timings.firmware_step_ns)
+        self._on_pwr_ok(self.clm.pwr_ok, self._stage_done)
+        self._close_stage(self._exit_ungate)
+
+    def _exit_ungate(self) -> None:
+        clock_tree = self.clm.clock_tree
+        clock_tree.clk_gate.set(False)
+        self.sim.schedule(clock_tree.gate_latency_ns, self._exit_ungated)
+
+    def _exit_ungated(self) -> None:
+        self.sim.schedule(self.timings.firmware_step_ns, self._exit_wake_io)
+
+    def _exit_wake_io(self) -> None:
         # Stage: IOs out of L1 and DRAM out of self-refresh.
-        barrier = _Barrier()
+        self._open_stage()
         for link in self.links:
             if link.state == "L1":
-                barrier.add()
-                link.exit_l1(barrier.done)
+                self._stage_pending += 1
+                link.exit_l1(self._stage_done)
         for mc in self.memory_controllers:
             if mc.state == "self_refresh":
-                barrier.add()
-                mc.exit_self_refresh(barrier.done)
-        yield from barrier.wait()
-        yield Delay(timings.firmware_step_ns)
+                self._stage_pending += 1
+                mc.exit_self_refresh(self._stage_done)
+        self._close_stage(self._exit_io_awake)
+
+    def _exit_io_awake(self) -> None:
+        self.sim.schedule(self.timings.firmware_step_ns, self._exit_drain)
+
+    def _exit_drain(self) -> None:
         self.residency.enter(_PC2)
-        yield Delay(timings.pc2_drain_ns)
+        self.sim.schedule(self.timings.pc2_drain_ns, self._exit_done)
+
+    def _exit_done(self) -> None:
         self.pc6_exits += 1
         self._finish_flow_to_pc0()
+
+    # -- stages ----------------------------------------------------------------
+    def _open_stage(self) -> None:
+        """Start a stage, held open by one count while it issues.
+
+        A command can complete at once (an MC already in self-refresh);
+        without the hold, that completion could release the stage
+        before its later commands were even issued.
+        """
+        self._stage_pending = 1
+
+    def _stage_done(self) -> None:
+        """One of the stage's commands completed."""
+        self._stage_pending -= 1
+        if self._stage_pending == 0:
+            # One zero-delay event later, as in _trigger_exit.
+            self.sim.schedule(0, self._stage_then)
+
+    def _close_stage(self, then: Callable[[], None]) -> None:
+        """Stop issuing; run ``then`` once every command has completed."""
+        self._stage_then = then
+        self._stage_pending -= 1
+        if self._stage_pending == 0:
+            then()
 
     def _finish_flow_to_pc0(self) -> None:
         self.residency.enter(_PC0)
@@ -199,25 +260,5 @@ class Gpmu(PackageController):
         # AND-tree edge will not re-fire, so re-evaluate and descend
         # again (the ACC-equivalent loop of the firmware flow).
         if self.all_cc6.value and not self._flow_active:
-            self._flow_active = True
-            Process(self.sim, self._entry_flow(), name="gpmu-entry")
+            self._begin_entry()
 
-
-class _Barrier:
-    """Counts component completions and wakes the flow when all land."""
-
-    def __init__(self) -> None:
-        self._outstanding = 0
-        self._event = WaitEvent()
-
-    def add(self) -> None:
-        self._outstanding += 1
-
-    def done(self) -> None:
-        self._outstanding -= 1
-        if self._outstanding == 0:
-            self._event.trigger()
-
-    def wait(self):
-        if self._outstanding > 0:
-            yield self._event

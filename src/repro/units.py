@@ -46,7 +46,7 @@ def whole_ns(
     Truncating a fraction would change the model behind its back
     (``int(0.5)`` is a zero-length job), so times and durations must
     arrive whole: round in the model, not in the kernel. The one check
-    behind ``Simulator.schedule``, ``Delay``, ``Request`` and ``Job``;
+    behind ``Simulator.schedule``, the timers, ``Request`` and ``Job``;
     callers keep a ``type(x) is int`` fast path in front of it.
     """
     try:

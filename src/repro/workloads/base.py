@@ -84,51 +84,48 @@ class InjectTarget(Protocol):
 class OpenLoopArrivals:
     """Drives one open-loop arrival stream with a single recycled event.
 
-    The start event is scheduled at construction (on the next event
-    boundary, so construction order within a callback does not
-    matter). It draws the first gap; every later firing injects
-    ``make(rng)`` into the target, then draws the next gap and
-    re-arms the same event by it, so draws happen in the order
-    gap, (request, gap), (request, gap), … — the order of the
-    ``yield Delay(gap); inject(make())`` generator loop this replaces,
-    with the same event times and sequence numbers.
+    Every built-in stream runs on it. The start event is scheduled at
+    construction (on the next event boundary, so construction order
+    within a callback does not matter). It draws the first gap; every
+    later firing passes ``make(rng)`` to ``emit``, then draws the next
+    gap and re-arms the same event by it, so draws happen in the order
+    gap, (arrival, gap), (arrival, gap), … A request stream passes the
+    target's ``inject`` as ``emit``; a stream whose arrivals are not
+    single requests (a UPI snoop, an RPC fan-out) passes its own.
     """
 
-    __slots__ = ("_sim", "_inject", "_make", "_next_gap", "_rng", "_event")
+    __slots__ = ("_sim", "_emit", "_make", "_next_gap", "_rng", "_event")
 
     def __init__(
         self,
         sim: Simulator,
-        target: InjectTarget,
-        make: Callable[[Any], Request],
+        emit: Callable[[Any], None],
+        make: Callable[[Any], Any],
         next_gap: Callable[[Any], int],
         rng: np.random.Generator | None,
     ):
         self._sim = sim
-        self._inject = target.inject
+        self._emit = emit
         self._make = make
         self._next_gap = next_gap
         self._rng = rng
         self._event: Event = sim.schedule(0, self._start)
 
     def _start(self) -> None:
-        # Re-arm the start event itself, as the generator loop did, so
-        # the kernel's reuse count does not move.
         event = self._event
         event.fn = self._arrive
         self._sim.reschedule(event, self._next_gap(self._rng))
 
     def _arrive(self) -> None:
         rng = self._rng
-        self._inject(self._make(rng))
+        self._emit(self._make(rng))
         self._sim.reschedule(self._event, self._next_gap(rng))
 
 
 class Workload:
     """Base class for request generators.
 
-    Subclasses implement :meth:`start`, launching their generation
-    processes on the given simulator, and report their intended
+    Subclasses implement :meth:`start` and report their intended
     offered load through :attr:`offered_qps` (used to size
     measurement windows and label figures).
     """
@@ -141,7 +138,10 @@ class Workload:
         raise NotImplementedError
 
     def start(self, sim: Simulator, target: InjectTarget) -> None:
-        """Begin generating requests into ``target``."""
+        """Begin generating requests into ``target``.
+
+        Each stream is one :class:`OpenLoopArrivals` on ``sim``.
+        """
         raise NotImplementedError
 
     def describe(self) -> dict[str, Any]:

@@ -17,10 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.sim.engine import Simulator
-from repro.sim.process import Delay, Process
 from repro.units import MS, US
-from repro.workloads.base import InjectTarget, Request, Workload, workload_rng
+from repro.workloads.base import (
+    InjectTarget,
+    OpenLoopArrivals,
+    Request,
+    Workload,
+    workload_rng,
+)
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,46 @@ KAFKA_PRESETS: dict[str, KafkaParams] = {
 }
 
 
+class _Poller:
+    """One worker's poll batches on a fixed grid anchored at its phase.
+
+    Jitter perturbs each cycle but does not accumulate, so workers in a
+    phase group stay aligned indefinitely (like timer wheels). Times
+    are kept relative to the stream's start: the next tick and the
+    last poll.
+    """
+
+    __slots__ = ("_params", "_kind", "_tick_ns", "_polled_ns")
+
+    def __init__(self, params: KafkaParams, worker: int, phase_ns: int):
+        self._params = params
+        self._kind = f"kafka-poll-w{worker}"
+        self._tick_ns = phase_ns
+        self._polled_ns = 0
+
+    def next_gap_ns(self, rng: np.random.Generator) -> int:
+        params = self._params
+        jitter_ns = int(
+            params.jitter * params.poll_interval_ns * (2.0 * rng.random() - 1.0)
+        )
+        self._tick_ns += params.poll_interval_ns
+        gap_ns = max(1, self._tick_ns + jitter_ns - self._polled_ns)
+        self._polled_ns += gap_ns
+        return gap_ns
+
+    def batch(self, rng: np.random.Generator) -> Request:
+        params = self._params
+        messages = int(rng.poisson(params.batch_messages_mean))
+        service_ns = params.batch_base_ns + messages * params.per_message_ns
+        return Request(
+            kind=self._kind,
+            service_ns=max(1, service_ns),
+            wire_bytes=max(64, messages * 256),
+            response_bytes=64,
+            dram_bytes=max(4_096, messages * 1_024),
+        )
+
+
 class KafkaWorkload(Workload):
     """Poll-cycle batch generator with N desynchronized workers."""
 
@@ -117,37 +164,13 @@ class KafkaWorkload(Workload):
             for _ in range(groups)
         ]
         for worker in range(self.params.n_workers):
-            Process(
+            poller = _Poller(self.params, worker, phases[worker % groups])
+            OpenLoopArrivals(
                 sim,
-                self._worker_loop(sim, target, worker, phases[worker % groups]),
-                name=f"kafka-worker{worker}",
-            )
-
-    def _worker_loop(
-        self, sim: Simulator, target: InjectTarget, worker: int, phase_ns: int
-    ):
-        params = self.params
-        rng = workload_rng(sim, f"{self.name}-{worker}")
-        # Poll on a fixed grid anchored at the group phase: jitter
-        # perturbs each cycle but does not accumulate, so workers in a
-        # phase group stay aligned indefinitely (like timer wheels).
-        next_tick = sim.now + phase_ns
-        while True:
-            jitter_ns = int(
-                params.jitter * params.poll_interval_ns * (2.0 * rng.random() - 1.0)
-            )
-            next_tick += params.poll_interval_ns
-            yield Delay(max(1, next_tick + jitter_ns - sim.now))
-            messages = int(rng.poisson(params.batch_messages_mean))
-            service_ns = params.batch_base_ns + messages * params.per_message_ns
-            target.inject(
-                Request(
-                    kind=f"kafka-poll-w{worker}",
-                    service_ns=max(1, service_ns),
-                    wire_bytes=max(64, messages * 256),
-                    response_bytes=64,
-                    dram_bytes=max(4_096, messages * 1_024),
-                )
+                target.inject,
+                poller.batch,
+                poller.next_gap_ns,
+                workload_rng(sim, f"{self.name}-{worker}"),
             )
 
     def describe(self) -> dict:

@@ -86,7 +86,7 @@ class NginxWorkload(Workload):
     def start(self, sim: Simulator, target: InjectTarget) -> None:
         OpenLoopArrivals(
             sim,
-            target,
+            target.inject,
             self._make_request,
             self.arrivals.next_gap_ns,
             workload_rng(sim, self.name),

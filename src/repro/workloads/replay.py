@@ -62,7 +62,7 @@ class TraceReplayWorkload(Workload):
         # from the trace (or a fixed default), keeping the replay
         # seed-independent by construction.
         OpenLoopArrivals(
-            sim, target, self._make_request, self.arrivals.next_gap_ns, None
+            sim, target.inject, self._make_request, self.arrivals.next_gap_ns, None
         )
 
     def _make_request(self, rng: None) -> Request:

@@ -22,11 +22,18 @@ scatter-gather tier.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.sim.engine import Simulator
-from repro.sim.process import Delay, Process
 from repro.units import US
 from repro.workloads.arrivals import ArrivalProcess, PoissonArrivals
-from repro.workloads.base import InjectTarget, Request, Workload, workload_rng
+from repro.workloads.base import (
+    InjectTarget,
+    OpenLoopArrivals,
+    Request,
+    Workload,
+    workload_rng,
+)
 from repro.workloads.service import ExponentialService
 
 
@@ -69,48 +76,10 @@ class RpcFanoutWorkload(Workload):
         return self.qps * work_ns * 1e-9 / n_cores
 
     def start(self, sim: Simulator, target: InjectTarget) -> None:
-        Process(sim, self._generate(sim, target), name="rpc-fanout-gen")
-
-    def _generate(self, sim: Simulator, target: InjectTarget):
         rng = workload_rng(sim, self.name)
-        rpc_id = 0
-        while True:
-            yield Delay(self.arrivals.next_gap_ns(rng))
-            # Scatter: all sub-requests hit the NIC at one timestamp,
-            # so the dispatcher wakes several cores simultaneously.
-            subs = [
-                Request(
-                    kind=f"rpc{rpc_id}-sub",
-                    service_ns=self._sub.sample_ns(rng, self.qps),
-                    wire_bytes=256,
-                    response_bytes=1_024,
-                    dram_bytes=8_192,
-                )
-                for _ in range(self.fanout)
-            ]
-            for sub in subs:
-                target.inject(sub)
-            # Gather: the merge request lands once the slowest sub is
-            # expected to have finished (open-loop approximation of
-            # the response-joining thread's wakeup).
-            merge_lag_ns = max(sub.service_ns for sub in subs) + 2 * US
-            Process(
-                sim,
-                self._merge_later(target, rng, rpc_id, merge_lag_ns),
-                name=f"rpc{rpc_id}-merge",
-            )
-            rpc_id += 1
-
-    def _merge_later(self, target, rng, rpc_id: int, lag_ns: int):
-        yield Delay(lag_ns)
-        target.inject(
-            Request(
-                kind=f"rpc{rpc_id}-merge",
-                service_ns=self._merge.sample_ns(rng, self.qps),
-                wire_bytes=128,
-                response_bytes=4_096,
-                dram_bytes=16_384,
-            )
+        fanout = _ScatterGather(self, sim, target, rng)
+        OpenLoopArrivals(
+            sim, fanout.scatter, fanout.subs, self.arrivals.next_gap_ns, rng
         )
 
     def describe(self) -> dict:
@@ -121,3 +90,64 @@ class RpcFanoutWorkload(Workload):
             "offered_qps": self.offered_qps,
             "expected_utilization": self.expected_utilization(),
         }
+
+
+class _ScatterGather:
+    """One started fan-out stream: each root RPC's subs, then its merge."""
+
+    __slots__ = ("_workload", "_sim", "_inject", "_rng", "_rpc_id")
+
+    def __init__(
+        self,
+        workload: RpcFanoutWorkload,
+        sim: Simulator,
+        target: InjectTarget,
+        rng: np.random.Generator,
+    ):
+        self._workload = workload
+        self._sim = sim
+        self._inject = target.inject
+        self._rng = rng
+        self._rpc_id = 0
+
+    def subs(self, rng: np.random.Generator) -> list[Request]:
+        workload = self._workload
+        return [
+            Request(
+                kind=f"rpc{self._rpc_id}-sub",
+                service_ns=workload._sub.sample_ns(rng, workload.qps),
+                wire_bytes=256,
+                response_bytes=1_024,
+                dram_bytes=8_192,
+            )
+            for _ in range(workload.fanout)
+        ]
+
+    def scatter(self, subs: list[Request]) -> None:
+        # Scatter: all sub-requests hit the NIC at one timestamp, so
+        # the dispatcher wakes several cores simultaneously.
+        for sub in subs:
+            self._inject(sub)
+        # Gather: the merge request lands once the slowest sub is
+        # expected to have finished (open-loop approximation of the
+        # response-joining thread's wakeup).
+        lag_ns = max(sub.service_ns for sub in subs) + 2 * US
+        # Arm the merge one zero-delay event later: without that event
+        # every later seq shifts, and the pinned event streams with it.
+        self._sim.schedule(0, self._arm_merge, lag_ns, self._rpc_id)
+        self._rpc_id += 1
+
+    def _arm_merge(self, lag_ns: int, rpc_id: int) -> None:
+        self._sim.schedule(lag_ns, self._merge, rpc_id)
+
+    def _merge(self, rpc_id: int) -> None:
+        workload = self._workload
+        self._inject(
+            Request(
+                kind=f"rpc{rpc_id}-merge",
+                service_ns=workload._merge.sample_ns(self._rng, workload.qps),
+                wire_bytes=128,
+                response_bytes=4_096,
+                dram_bytes=16_384,
+            )
+        )

@@ -16,8 +16,8 @@ APMU; unlike NIC requests they occupy no core, so they probe the
 from __future__ import annotations
 
 from repro.sim.engine import Simulator
-from repro.sim.process import Delay, Process
-from repro.workloads.base import InjectTarget, Workload, workload_rng
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.base import InjectTarget, OpenLoopArrivals, Workload, workload_rng
 
 
 class UpiSnoopTraffic(Workload):
@@ -52,16 +52,17 @@ class UpiSnoopTraffic(Workload):
         links = [link for link in target.links if link.name.startswith("upi")]
         if not links:
             raise ValueError("target machine has no UPI links")
-        Process(sim, self._generate(sim, links), name="upi-snoops")
+        OpenLoopArrivals(
+            sim,
+            self._snoop,
+            lambda rng: links[int(rng.integers(len(links)))],
+            PoissonArrivals(self.snoops_per_s).next_gap_ns,
+            workload_rng(sim, self.name),
+        )
 
-    def _generate(self, sim: Simulator, links: list):
-        rng = workload_rng(sim, self.name)
-        mean_gap_ns = 1e9 / self.snoops_per_s
-        while True:
-            yield Delay(max(1, int(rng.exponential(mean_gap_ns))))
-            link = links[int(rng.integers(len(links)))]
-            link.transfer(self.snoop_bytes)
-            self.snoops_sent += 1
+    def _snoop(self, link) -> None:
+        link.transfer(self.snoop_bytes)
+        self.snoops_sent += 1
 
     def describe(self) -> dict:
         return {

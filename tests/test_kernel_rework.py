@@ -1,10 +1,9 @@
 """Tests for the event-kernel hot-path rework.
 
-Covers the PR-2 kernel overhaul: interrupt-while-waiting wakeup
-races, strict integral-time validation, lazy cancellation with
-threshold-triggered heap compaction, the event-reuse path, the
-kernel observability counters, and cross-PR determinism against
-golden files produced by the pre-rework kernel.
+Covers the PR-2 kernel overhaul: strict integral-time validation,
+lazy cancellation with threshold-triggered heap compaction, the
+event-reuse path, the kernel observability counters, and cross-PR
+determinism against golden files produced by the pre-rework kernel.
 """
 
 from __future__ import annotations
@@ -20,120 +19,15 @@ from repro.server.configs import cpc1a
 from repro.server.experiment import run_experiment
 from repro.server.stats import MachineStats
 from repro.server.ticks import OsTimerTicks
-from repro.sim import Delay, Interrupt, Process, WaitEvent
 from repro.sim.engine import COMPACTION_MIN_CANCELLED, SimulationError
 from repro.sim.timers import PeriodicTimer, RestartableTimeout
 from repro.sweep import SweepSession, SweepSpec, memcached_points
 from repro.sweep.store import result_from_dict, result_to_dict
 from repro.units import MS
+from repro.workloads.base import OpenLoopArrivals
 from repro.workloads.memcached import MemcachedWorkload
 
 DATA_DIR = Path(__file__).parent / "data"
-
-
-class TestInterruptWhileWaiting:
-    def test_trigger_after_interrupt_does_not_leak_into_delay(self, sim):
-        """The pinned regression: a WaitEvent triggering after the
-        waiter was interrupted must not inject a spurious resume (with
-        the trigger value) into the generator's next suspension."""
-        gate = WaitEvent()
-        log = []
-
-        def proc():
-            try:
-                yield gate
-                log.append(("gate", sim.now))
-            except Interrupt as exc:
-                log.append(("interrupt", exc.cause, sim.now))
-            value = yield Delay(1_000)
-            log.append(("delay-done", value, sim.now))
-
-        process = Process(sim, proc())
-        sim.schedule(10, process.interrupt, "abort")
-        sim.schedule(50, gate.trigger, "intruder")
-        sim.run()
-        assert log == [
-            ("interrupt", "abort", 10),
-            # The Delay must run to completion (t=1010), not be cut
-            # short at t=50, and must resume with None, never with the
-            # stale trigger payload.
-            ("delay-done", None, 1_010),
-        ]
-        assert process.finished
-
-    def test_interrupt_unsubscribes_only_the_interrupted_waiter(self, sim):
-        gate = WaitEvent()
-        woken = []
-
-        def waiter(tag):
-            try:
-                value = yield gate
-                woken.append((tag, value))
-            except Interrupt:
-                woken.append((tag, "interrupted"))
-
-        Process(sim, waiter("a"))
-        victim = Process(sim, waiter("b"))
-        sim.schedule(5, victim.interrupt)
-        sim.schedule(20, gate.trigger, "payload")
-        sim.run()
-        assert sorted(woken) == [("a", "payload"), ("b", "interrupted")]
-
-    def test_no_double_resume_after_interrupt(self, sim):
-        gate = WaitEvent()
-        resumes = []
-
-        def proc():
-            try:
-                yield gate
-            except Interrupt:
-                pass
-            resumes.append(sim.now)
-            yield Delay(7)
-            resumes.append(sim.now)
-
-        process = Process(sim, proc())
-        sim.schedule(3, process.interrupt)
-        sim.schedule(4, gate.trigger)
-        sim.run()
-        # Exactly one resume per suspension: interrupt at 3, delay at 10.
-        assert resumes == [3, 10]
-
-    def test_rewaiting_a_gate_triggered_during_interrupt_window(self, sim):
-        """A process that re-yields the same gate later sees the
-        already-triggered fast path, not a stale subscription."""
-        gate = WaitEvent()
-        log = []
-
-        def proc():
-            try:
-                yield gate
-            except Interrupt:
-                log.append(("interrupted", sim.now))
-            yield Delay(100)
-            value = yield gate  # triggered at t=50 -> immediate resume
-            log.append(("rewait", value, sim.now))
-
-        process = Process(sim, proc())
-        sim.schedule(10, process.interrupt)
-        sim.schedule(50, gate.trigger, "late")
-        sim.run()
-        assert log == [("interrupted", 10), ("rewait", "late", 110)]
-
-    def test_interrupt_during_delay_still_works(self, sim):
-        log = []
-
-        def proc():
-            try:
-                yield Delay(1_000)
-            except Interrupt as exc:
-                log.append((exc.cause, sim.now))
-
-        process = Process(sim, proc())
-        sim.schedule(10, process.interrupt, "wake")
-        sim.run()
-        assert log == [("wake", 10)]
-        assert sim.now < 1_000
 
 
 class TestIntegralTimes:
@@ -161,10 +55,6 @@ class TestIntegralTimes:
         sim.schedule(np.int64(5), fired.append, True)
         sim.run()
         assert fired == [True] and sim.now == 5
-
-    def test_delay_rejects_fractional(self):
-        with pytest.raises(ValueError):
-            Delay(2.7)  # repro-lint: ignore[RPR002]
 
     def test_timers_reject_fractional(self, sim):
         with pytest.raises(ValueError):
@@ -272,14 +162,15 @@ class TestReschedule:
         with pytest.raises(SimulationError):
             sim.reschedule(event, 1.5)  # repro-lint: ignore[RPR002]
 
-    def test_process_delay_loop_reuses_events(self, sim):
-        def proc():
-            for _ in range(50):
-                yield Delay(10)
-
-        Process(sim, proc())
-        sim.run()
-        assert sim.events_reused >= 49
+    def test_arrival_stream_reuses_one_event(self, sim):
+        arrivals = []
+        OpenLoopArrivals(
+            sim, arrivals.append, lambda rng: sim.now, lambda rng: 10, None
+        )
+        sim.run(until_ns=500)
+        assert arrivals == list(range(10, 510, 10))
+        # One fresh allocation at construction; every firing recycled it.
+        assert sim.events_reused == 51
 
 
 class TestOsTimerTicksLifecycle:

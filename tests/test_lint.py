@@ -150,7 +150,7 @@ class TestRpr002FloatTime:
         assert codes(lint_source(src, SIM_PATH)) == []
 
     def test_delay_constructor_checked(self):
-        src = "from repro.sim import Delay\n\ndef f():\n    yield Delay(2.5)\n"
+        src = "def f(sim, cb):\n    PeriodicTimer(sim, 2.5, cb)\n"
         assert codes(lint_source(src, SIM_PATH)) == ["RPR002"]
 
     def test_applies_in_test_domain(self):
@@ -572,7 +572,7 @@ class TestRepoIsClean:
         by_code = {}
         for finding in report.suppressed:
             by_code[finding.code] = by_code.get(finding.code, 0) + 1
-        assert by_code == {"RPR002": 7, "RPR005": 1}
+        assert by_code == {"RPR002": 6, "RPR005": 1}
 
 
 class TestSeededFault:

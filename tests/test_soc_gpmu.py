@@ -57,6 +57,28 @@ class TestPc6Entry:
         )
 
 
+    def test_stage_waits_for_a_command_issued_after_a_synchronous_completion(
+        self, deep_machine
+    ):
+        # MC0 already in self-refresh completes its command while the
+        # stage is still issuing; the stage must still wait for MC1.
+        machine = deep_machine
+        for link in machine.links:
+            link.enter_l1()
+        mc0, mc1 = machine.memory_controllers
+        mc0.enter_self_refresh()
+        landed, ret_rose = [], []
+        mc1.on_state_change(
+            lambda state: state == "self_refresh" and landed.append(machine.sim.now)
+        )
+        machine.clm.ret.watch(
+            lambda signal, old, new: new and ret_rose.append(machine.sim.now)
+        )
+        settle_pc6(machine)
+        assert machine.gpmu.pc6_entries == 1
+        step_ns = machine.gpmu.timings.firmware_step_ns
+        assert ret_rose[0] - landed[0] == step_ns
+
 class TestPc6Exit:
     def test_wakeup_signal_exits_pc6(self, deep_machine):
         machine = deep_machine
