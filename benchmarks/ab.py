@@ -11,8 +11,10 @@ side is the working tree as it stands. For each workload in
 ``BENCHMARK.json``, pair i runs its ``command`` with ``--workload W
 --seed SEED+i --seconds T --trace 0`` once per side, each side from its
 own tree root: the parent first in even pairs, the change first in odd
-ones. Each end-to-end metric of each workload gets one verdict from
-:func:`judge`, by the metric's ``better`` and ``bound``.
+ones. Both trees' ``src/`` are byte-compiled before the first pair
+(:func:`compile_sources`). Each end-to-end metric of each workload gets
+one verdict from :func:`judge`, by the metric's ``better`` and
+``bound``.
 
 Exit code 1 on a ``regression``, on a change run that is not correct,
 or when the change fails a larger share of operations than the parent;
@@ -129,6 +131,20 @@ def report(workload: str, metrics: list[dict], runs: dict[str, list[dict]]) -> i
     return status
 
 
+def compile_sources(root: Path) -> None:
+    """Byte-compile ``root/src``, so that no run compiles ``repro`` on import.
+
+    ``compileall`` writes ``.pyc`` files even under
+    ``PYTHONDONTWRITEBYTECODE=1``. Without it, on a host that sets that
+    variable, a fresh archive compiles on every import while a tree
+    with a ``__pycache__`` left by earlier runs does not, which biases
+    ``setup_s``.
+    """
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", str(root / "src")], check=True
+    )
+
+
 def compare(benchmark: dict, parent_root: Path, args: argparse.Namespace) -> int:
     """Run the interleaved pairs of every workload and judge them."""
     roots = {"parent": parent_root, "change": ROOT}
@@ -182,6 +198,8 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / "perfbench", parent_root / "perfbench",
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "BENCHMARK.json", parent_root / "BENCHMARK.json")
+        for root in (parent_root, ROOT):
+            compile_sources(root)
         print(f"A/B: {args.ref} (parent) against the working tree, "
               f"{args.pairs} pairs of {args.seconds:g} s from seed {args.seed}",
               flush=True)

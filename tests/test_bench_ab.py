@@ -1,4 +1,5 @@
-"""The A/B harness's verdict rule (``benchmarks/ab.py``), on synthetic pairs."""
+"""The A/B harness (``benchmarks/ab.py``): its verdict rule, on synthetic
+pairs, and its byte-compile step."""
 
 from __future__ import annotations
 
@@ -77,3 +78,15 @@ class TestGain:
         judged = ab.judge(METRICS["setup_s"], PARENT, list(PARENT))
         assert (judged.wins, judged.losses) == (0, 0)
         assert judged.verdict == "within bound"
+
+
+class TestCompileSources:
+    def test_bytecode_is_written_even_when_python_is_told_not_to(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        module = tmp_path / "src" / "pkg" / "mod.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("VALUE = 1\n")
+        ab.compile_sources(tmp_path)
+        assert len(list((module.parent / "__pycache__").glob("mod.*.pyc"))) == 1
