@@ -51,10 +51,6 @@ class RaplInterface:
         """Wrap-aware difference between two raw counter samples."""
         return (after - before) & RaplInterface.COUNTER_MASK
 
-    def energy_delta_j(self, domain: RaplDomain, before: int, after: int) -> float:
-        """Energy in joules between two raw samples of ``domain``."""
-        return self.counter_delta(before, after) * self.ENERGY_UNIT_J
-
 
 class RaplSampler:
     """Accumulates wrap-corrected energy across periodic samples.

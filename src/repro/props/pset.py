@@ -104,10 +104,6 @@ class PropertySet(Mapping[str, Any]):
         return f"PropertySet({body})"
 
     # -- identity ----------------------------------------------------------
-    def items_canonical(self) -> tuple[tuple[str, Any], ...]:
-        """The (name, value) pairs in canonical order."""
-        return self._items
-
     def as_dict(self) -> dict[str, Any]:
         """Plain-data form (JSON-friendly; insertion order canonical)."""
         return dict(self._items)

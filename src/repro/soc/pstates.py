@@ -36,10 +36,6 @@ class PState:
         if self.freq_ghz <= 0 or self.voltage_v <= 0:
             raise ValueError("frequency and voltage must be positive")
 
-    def speedup_vs(self, other: "PState") -> float:
-        """Execution-speed ratio for core-bound work."""
-        return self.freq_ghz / other.freq_ghz
-
 
 @dataclass(frozen=True)
 class PStateTable:

@@ -110,10 +110,6 @@ class MMPPArrivals(ArrivalProcess):
         # subsequent dwells are exponential around their phase mean.
         self._phase_left_ns = float(dwells[0])
 
-    @property
-    def n_phases(self) -> int:
-        return len(self.rates_per_s)
-
     def mean_rate_per_s(self) -> float:
         """Stationary mean: dwell-weighted average of the phase rates."""
         total = sum(self.dwell_ns)
