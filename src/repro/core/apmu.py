@@ -121,8 +121,11 @@ class Apmu(PackageController):
         self._ungate_settle_ns = timings.gate_settle_cycles * timings.cycle_ns
         #: ``InCC1`` aggregation over all cores (paper Sec. 5.3).
         self.all_cc1 = AndTree("apmu.AllInCC1", [c.in_cc1 for c in cores])
-        self.all_cc1.output.watch(self._on_all_cc1_change)
-        self.iosm.all_in_l0s.watch(self._on_all_in_l0s_change)
+        # The two AND-tree outputs, read on every ACC1 pass.
+        self._all_in_cc1 = self.all_cc1.output
+        self._all_in_l0s = iosm.all_in_l0s
+        self._all_in_cc1.watch(self._on_all_cc1_change)
+        self._all_in_l0s.watch(self._on_all_in_l0s_change)
         #: Status to the GPMU (paper Fig. 3).
         self.in_pc1a = Signal("apmu.InPC1A", value=False)
         #: Wake input from the GPMU (interrupt, timer, thermal event).
@@ -237,8 +240,8 @@ class Apmu(PackageController):
     def _maybe_begin_entry(self) -> None:
         if (
             self._phase == "acc1"
-            and self.all_cc1.value
-            and self.iosm.all_in_l0s.value
+            and self._all_in_cc1.value
+            and self._all_in_l0s.value
         ):
             self._begin_entry()
 
@@ -257,7 +260,6 @@ class Apmu(PackageController):
 
     def _entry_drop_voltage(self) -> None:
         self.clmr.ret.set(True)
-        self.clmr.retention_entries += 1
 
     def _entry_allow_cke_off(self) -> None:
         self.iosm.allow_cke_off.set(True)
@@ -313,7 +315,7 @@ class Apmu(PackageController):
         # A core interrupt drops AllInCC1 before its wake request
         # reaches us, so this check routes interrupt wakes to PC0 and
         # spurious wakes back toward PC1A (Fig. 4's ACC1 loop).
-        if not self.all_cc1.value:
+        if not self._all_in_cc1.value:
             self._to_pc0()
         else:
             self._maybe_begin_entry()

@@ -37,7 +37,6 @@ class ClmrController:
         self.pwr_ok = clm.pwr_ok
         #: The ``ClkGate`` wire into the CLM clock-tree control.
         self.clk_gate = clm.clock_tree.clk_gate
-        self.retention_entries = 0
         if not clm.pll.locked:
             raise ClmrError("CLMR requires the CLM PLL locked at attach time")
 
@@ -48,7 +47,6 @@ class ClmrController:
             raise ClmrError("CLM PLL lost lock: PC1A must keep PLLs on")
         self.clk_gate.set(True)
         self.ret.set(True)
-        self.retention_entries += 1
 
     def raise_voltage(self) -> None:
         """PC1A exit branch (i) step 4: start the upward ramp."""

@@ -10,6 +10,11 @@ IOSM adds three signal groups (paper Sec. 4.2 / 5.1):
   first, to save routing) into a single all-IOs-standby level.
 * ``Allow_CKE_OFF`` — one control wire to each memory controller
   allowing CKE-off power-down instead of self-refresh.
+
+Each control wire is one :class:`Signal` that every link (or memory
+controller) watches directly, as the one fanned-out wire does in
+hardware: an edge reaches the components in link (controller) order
+with no relay signal in between.
 """
 
 from __future__ import annotations
@@ -29,11 +34,13 @@ class IosmController:
         self.sim = sim
         self.links = list(links)
         self.memory_controllers = list(memory_controllers)
-        #: APMU-driven master controls (broadcast to the components).
+        #: APMU-driven controls, each one wire the components watch.
         self.allow_l0s = Signal("iosm.AllowL0s", value=False)
         self.allow_cke_off = Signal("iosm.Allow_CKE_OFF", value=False)
-        self.allow_l0s.watch(self._fan_out_allow_l0s)
-        self.allow_cke_off.watch(self._fan_out_allow_cke_off)
+        for link in self.links:
+            link.connect_allow_l0s(self.allow_l0s)
+        for mc in self.memory_controllers:
+            mc.connect_allow_cke_off(self.allow_cke_off)
         #: Combined status: all IO controllers in L0s or deeper.
         self._in_l0s_tree = AndTree(
             "iosm.InL0s", [link.in_l0s for link in self.links]
@@ -48,20 +55,14 @@ class IosmController:
     @property
     def all_mcs_active(self) -> bool:
         """True when every memory controller is serving."""
-        return all(mc.state == "active" for mc in self.memory_controllers)
+        for mc in self.memory_controllers:
+            if mc.state != "active":
+                return False
+        return True
 
     def link_states(self) -> dict[str, str]:
         """Current LTSSM state per link (diagnostics)."""
         return {link.name: link.state for link in self.links}
-
-    # -- fan-out ----------------------------------------------------------
-    def _fan_out_allow_l0s(self, signal: Signal, old: bool, new: bool) -> None:
-        for link in self.links:
-            link.allow_l0s.set(new)
-
-    def _fan_out_allow_cke_off(self, signal: Signal, old: bool, new: bool) -> None:
-        for mc in self.memory_controllers:
-            mc.allow_cke_off.set(new)
 
     # -- area accounting (used by repro.core.area) ------------------------------
     @property

@@ -61,7 +61,8 @@ class MemoryController:
         self.channel = channel
         self.device = device
         self.state = "active"  # active | cke_off | self_refresh | transitioning
-        self.residency = ResidencyCounter(sim, "active")
+        #: Interface-state residency; its ``enter`` also sets the draw.
+        self.residency = ResidencyCounter(sim, "active", channel)
         self.allow_cke_off = Signal(f"{name}.Allow_CKE_OFF", value=False)
         self.allow_cke_off.watch(self._on_allow_change)
         #: Accesses in flight with a completion callback (each has its
@@ -78,6 +79,21 @@ class MemoryController:
         self.cke_off_entries = 0
         self.accesses = 0
         channel.set_power(spec.active_w)
+
+    def connect_allow_cke_off(self, wire: Signal) -> None:
+        """Take Allow_CKE_OFF from ``wire``, one wire many MCs watch.
+
+        The IOSM drives every memory controller from its one
+        Allow_CKE_OFF wire this way, with no per-controller relay. Both
+        wires must be low.
+        """
+        if wire.value or self.allow_cke_off.value:
+            raise MemoryControllerError(
+                f"{self.name}: connect Allow_CKE_OFF while it is low"
+            )
+        self.allow_cke_off.unwatch(self._on_allow_change)
+        self.allow_cke_off = wire
+        wire.watch(self._on_allow_change)
 
     def on_state_change(self, fn: Callable[[str], None]) -> None:
         """Register ``fn(new_state)`` to fire when a transition lands."""
@@ -211,7 +227,7 @@ class MemoryController:
                 f"{self.name}: overlapping power-mode transitions"
             )
         self.state = "transitioning"
-        self.residency.enter("transitioning")
+        self.residency.enter("transitioning")  # the draw holds meanwhile
         self._transition_event = self.sim.schedule(
             duration_ns, self._transition_done, target, on_done
         )
@@ -219,8 +235,7 @@ class MemoryController:
     def _transition_done(self, target: str, on_done: Callable[[], None] | None) -> None:
         self._transition_event = None
         self.state = target
-        self.residency.enter(target)
-        self.channel.set_power(self.spec.watts[target])
+        self.residency.enter(target, self.spec.watts[target])
         self.device.set_mode(_DEVICE_MODE[target])
         if on_done is not None:
             on_done()

@@ -45,7 +45,10 @@ class DramDevice:
         self.spec = spec
         self.channel = channel
         self.mode = DramPowerMode.ACTIVE
-        self.residency = ResidencyCounter(sim, _MODE_LABEL[DramPowerMode.ACTIVE])
+        #: Power-mode residency; its ``enter`` also sets the background draw.
+        self.residency = ResidencyCounter(
+            sim, _MODE_LABEL[DramPowerMode.ACTIVE], channel
+        )
         self.bytes_accessed = 0
         channel.set_power(spec.idle_w)
 
@@ -55,8 +58,7 @@ class DramDevice:
             return
         self.mode = mode
         label = _MODE_LABEL[mode]
-        self.residency.enter(label)
-        self.channel.set_power(self.spec.watts[label])
+        self.residency.enter(label, self.spec.watts[label])
 
     def access(self, n_bytes: int) -> None:
         """Charge access energy for a burst.

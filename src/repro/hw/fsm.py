@@ -35,12 +35,15 @@ class TimedFsm:
     """
 
     STATES: tuple[str, ...] = ()
+    #: ``STATES`` as a set, per class: ``goto`` checks each target.
+    _STATE_SET: frozenset[str] = frozenset()
     #: State label -> ``on_enter_*`` / ``on_exit_*`` function, per class.
     _ENTER_HOOKS: dict[str, Callable[[Any], None]] = {}
     _EXIT_HOOKS: dict[str, Callable[[Any], None]] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
+        cls._STATE_SET = frozenset(cls.STATES)
         cls._ENTER_HOOKS = _resolve_hooks(cls, "on_enter_")
         cls._EXIT_HOOKS = _resolve_hooks(cls, "on_exit_")
 
@@ -69,9 +72,13 @@ class TimedFsm:
         ``goto`` wins, which models a flow being redirected by a new
         event (for example a wake event arriving during entry).
         """
-        if state not in self.STATES:
+        if state not in self._STATE_SET:
             raise FsmError(f"unknown state {state!r} for {self.name!r}")
-        self._cancel_pending()
+        pending = self._pending
+        if pending is not None:
+            pending.cancel()
+            self._pending = None
+            self._pending_target = None
         if after_ns <= 0:
             self._apply(state)
         else:
@@ -80,7 +87,10 @@ class TimedFsm:
 
     def cancel_pending(self) -> None:
         """Abort a delayed transition (if any)."""
-        self._cancel_pending()
+        if self._pending is not None:
+            self._pending.cancel()
+            self._pending = None
+            self._pending_target = None
 
     @property
     def pending_target(self) -> str | None:
@@ -94,26 +104,20 @@ class TimedFsm:
         return self.sim.now - self.state_entered_at
 
     # -- internals ---------------------------------------------------------
-    def _cancel_pending(self) -> None:
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-            self._pending_target = None
-
     def _apply(self, state: str) -> None:
         self._pending = None
         self._pending_target = None
         if state == self.state:
             return
         old = self.state
-        hook = self._EXIT_HOOKS.get(old)
-        if hook is not None:
-            hook(self)
+        hooks = self._EXIT_HOOKS
+        if old in hooks:
+            hooks[old](self)
         self.state = state
         self.state_entered_at = self.sim.now
-        hook = self._ENTER_HOOKS.get(state)
-        if hook is not None:
-            hook(self)
+        hooks = self._ENTER_HOOKS
+        if state in hooks:
+            hooks[state](self)
         if self._on_transition is not None:
             self._on_transition(self.state)
 

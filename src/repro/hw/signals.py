@@ -45,7 +45,6 @@ class Signal:
         #: :meth:`set` writes it (lint rule RPR008 flags other writes).
         self.value = bool(value)
         self._watchers: tuple[WatchFn, ...] = ()
-        self.transitions = 0
 
     def set(self, value: bool) -> None:
         """Drive the wire; watchers fire only on an actual change.
@@ -58,7 +57,6 @@ class Signal:
         if new is self.value:
             return
         self.value = new
-        self.transitions += 1
         old = not new
         for fn in self._watchers:
             fn(self, old, new)

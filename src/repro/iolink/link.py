@@ -77,8 +77,11 @@ class IoLink:
             on_transition=self._sync_state,
         )
         self.allow_l0s = Signal(f"{name}.AllowL0s", value=False)
-        self.in_l0s = Signal(f"{name}.InL0s", value=False)
-        self.residency = ResidencyCounter(sim, self.ltssm.state)
+        power_class, in_l0s = _STATE_SYNC[self.ltssm.state]
+        self.in_l0s = Signal(f"{name}.InL0s", value=in_l0s)
+        #: LTSSM residency; its ``enter`` also sets the link's draw.
+        self.residency = ResidencyCounter(sim, self.ltssm.state, channel)
+        channel.set_power(power_spec.watts[power_class])
         #: Transfers in flight with a delivery callback (each has its
         #: delivery event).
         self._outstanding = 0
@@ -94,7 +97,19 @@ class IoLink:
         self.transfers = 0
         self.shallow_entries = 0
         self.allow_l0s.watch(self._on_allow_change)
-        self._sync_state(self.ltssm.state)
+
+    def connect_allow_l0s(self, wire: Signal) -> None:
+        """Take AllowL0s from ``wire``, one wire that many links watch.
+
+        This is how the IOSM fans its single AllowL0s wire out to every
+        IO controller (paper Sec. 4.2): each link watches the shared
+        wire directly, with no per-link relay. Both wires must be low.
+        """
+        if wire.value or self.allow_l0s.value:
+            raise LinkError(f"{self.name}: connect AllowL0s while it is low")
+        self.allow_l0s.unwatch(self._on_allow_change)
+        self.allow_l0s = wire
+        wire.watch(self._on_allow_change)
 
     # -- wake listeners ---------------------------------------------------
     def on_wake(self, fn: Callable[[str], None]) -> None:
@@ -253,12 +268,13 @@ class IoLink:
 
     def _sync_state(self, state: str) -> None:
         # Residency, power and InL0s follow every LTSSM transition.
-        # InL0s also drops eagerly in _notify_wake and on allow changes.
+        # InL0s also drops eagerly in _notify_wake and on allow changes,
+        # so an L0 arrival usually finds it low already.
         power_class, in_l0s = _STATE_SYNC[state]
-        self.residency.enter(state)
-        self.channel.set_power(self.power_spec.watts[power_class])
-        self.in_l0s.set(in_l0s)
-        if state == "L0":
+        self.residency.enter(state, self.power_spec.watts[power_class])
+        if self.in_l0s.value is not in_l0s:
+            self.in_l0s.set(in_l0s)
+        if state == "L0" and self.allow_l0s.value:
             # Arriving in L0 (an L0p upshift, an L0s exit or an L1
             # retrain) may find AllowL0s already asserted and the link
             # idle: the idle window starts here, or the link would stay

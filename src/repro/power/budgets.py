@@ -39,6 +39,20 @@ _DRAM_FIELDS = {
 }
 
 
+def _reject_negative(spec: object) -> None:
+    """Raise ValueError if any numeric field of ``spec`` is negative.
+
+    Power and energy are checked where a spec is defined, so a bad
+    ledger fails when it is built, not at the first transition into
+    the state that reads the bad field (which might never come).
+    """
+    for name, value in vars(spec).items():
+        if isinstance(value, (int, float)) and value < 0:
+            raise ValueError(
+                f"{type(spec).__name__}.{name} must be non-negative, got {value}"
+            )
+
+
 class _WattsTable:
     """A frozen spec's label -> watts table, built once.
 
@@ -47,12 +61,14 @@ class _WattsTable:
     ``__post_init__``, before any machine checkpoint captures the spec,
     and is read-only: with every field immutable, the recycle walker
     keeps the whole spec as a leaf instead of walking and refilling it.
+    A negative field is rejected there too.
     """
 
     #: State label -> the spec field holding its power.
     _FIELDS: ClassVar[dict[str, str]] = {}
 
     def __post_init__(self) -> None:
+        _reject_negative(self)
         self.watts  # build the table now, before any checkpoint captures it
 
     @cached_property
@@ -176,6 +192,9 @@ class ClmPowerSpec:
     retention_w: float = 3.00
     nominal_v: float = 0.80
     retention_v: float = 0.50
+
+    def __post_init__(self) -> None:
+        _reject_negative(self)
 
     def for_voltage(self, voltage: float) -> float:
         """Interpolate CLM power between retention and nominal voltage.

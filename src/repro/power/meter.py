@@ -61,15 +61,16 @@ class PowerChannel:
         happens unless the clock actually advanced past the last
         checkpoint, so a burst of draw changes inside one event (a
         multi-step package entry flow) costs one overwrite each.
+
+        Callers pass draws from power specs, which reject a negative
+        field when they are built, so no sign check runs here.
         """
-        if power_w < 0:
-            raise ValueError(f"power must be non-negative, got {power_w}")
         now = self._sim.now
         last = self._last_ns
         if now > last:
             self._energy_j += self._power_w * ((now - last) / _NS_PER_S)
             self._last_ns = now
-        self._power_w = float(power_w)
+        self._power_w = power_w
 
     def add_energy(self, energy_j: float) -> None:
         """Account a discrete energy event (e.g. a DRAM burst)."""

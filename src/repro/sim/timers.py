@@ -89,7 +89,8 @@ class RestartableTimeout:
         The countdown starts now, or at ``from_ns`` if that is later
         (a window that opens once in-flight traffic has landed).
         """
-        self.cancel()
+        if self._event is not None:
+            self.cancel()
         delay = self.duration_ns
         if from_ns > self.sim.now:
             delay += from_ns - self.sim.now

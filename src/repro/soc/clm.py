@@ -6,7 +6,9 @@ commands both, so Vccclm1 follows Vccclm0: one settle event lands
 both. Its power follows the domain voltage between the calibrated
 nominal (13.4 W at 0.8 V) and retention (3.0 W at 0.5 V) points,
 read off Vccclm0. During a ramp the channel integrates the mid-ramp
-average — a < 0.1 % energy error at the 150 ns ramps involved.
+average — a < 0.1 % energy error at the 150 ns ramps involved. The
+draws at the two levels and mid-way between them are computed once;
+only a ramp preempted mid-way interpolates.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ class ClmDomain:
         self.ret.watch(self._on_ret_change)
         #: Combined ``PwrOk``: asserted when both FIVRs sit at target.
         self.pwr_ok = AndTree("clm.PwrOk", [f.pwr_ok for f in self.fivrs]).output
+        # Vccclm0's two levels and the draws at and between them.
+        self._nominal_v = nominal_v = leader.nominal_v
+        self._retention_v = retention_v = leader.retention_v
+        self._nominal_w = nominal_w = spec.for_voltage(nominal_v)
+        self._retention_w = retention_w = spec.for_voltage(retention_v)
+        self._full_ramp_w = (nominal_w + retention_w) / 2.0
         channel.set_power(spec.nominal_w)
 
     # -- state -------------------------------------------------------------
@@ -93,16 +101,27 @@ class ClmDomain:
             self._vccclm0.exit_retention()
 
     def _on_voltage_change(self, voltage_v: float) -> None:
+        # ``voltage_v`` is where the output starts ramping or settled.
+        nominal_v = self._nominal_v
+        retention_v = self._retention_v
         fivr = self._vccclm0
         if fivr.ramping:
             # Account the ramp interval at the midpoint power.
-            midpoint = (
-                self.spec.for_voltage(voltage_v)
-                + self.spec.for_voltage(fivr.target_v)
-            ) / 2.0
-            self.channel.set_power(midpoint)
+            target_v = fivr.target_v
+            if (voltage_v == nominal_v or voltage_v == retention_v) and (
+                target_v == nominal_v or target_v == retention_v
+            ):
+                power_w = self._full_ramp_w  # one level to the other
+            else:
+                for_voltage = self.spec.for_voltage
+                power_w = (for_voltage(voltage_v) + for_voltage(target_v)) / 2.0
+        elif voltage_v == nominal_v:
+            power_w = self._nominal_w
+        elif voltage_v == retention_v:
+            power_w = self._retention_w
         else:
-            self.channel.set_power(self.spec.for_voltage(self.voltage))
+            power_w = self.spec.for_voltage(voltage_v)
+        self.channel.set_power(power_w)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         status = "avail" if self.available else "down"

@@ -87,7 +87,8 @@ class Core:
         self.channel = channel
         self.package = package
         self.queue: deque[Job] = deque()
-        self.residency = ResidencyCounter(sim, CC0.name)
+        #: C-state residency; its ``enter`` also sets the idle draw.
+        self.residency = ResidencyCounter(sim, CC0.name, channel)
         self.in_cc1 = Signal(f"core{index}.InCC1", value=False)
         self.in_cc6 = Signal(f"core{index}.InCC6", value=False)
         self._mode = "active"  # active | entering | idle | waking
@@ -171,10 +172,11 @@ class Core:
         self._entry_event = None
         self._mode = "idle"
         cstate = self._cstate
-        self.channel.set_power(self.spec.watts[cstate.name])
-        self.residency.enter(cstate.name)
+        name = cstate.name
+        self.residency.enter(name, self.spec.watts[name])
         self.in_cc1.set(cstate.depth >= 1)
-        self.in_cc6.set(cstate.depth >= 3)
+        if cstate.depth >= 3:
+            self.in_cc6.set(True)  # low since the last wake
         if self._wake_pending:
             self._wake_pending = False
             self._begin_wake()
@@ -186,9 +188,10 @@ class Core:
         self.wake_count += 1
         self._mode = "waking"
         self.in_cc1.set(False)
-        self.in_cc6.set(False)
-        self.residency.enter(CC0.name)
-        self.channel.set_power(self.spec.transition_w)
+        if self.in_cc6.value:
+            self.in_cc6.set(False)
+        # Time in the exit counts as CC0, at the transition draw.
+        self.residency.enter(CC0.name, self.spec.transition_w)
         if self._idle_started_ns is not None:
             self.governor.observe_idle(self, self.sim.now - self._idle_started_ns)
             self._idle_started_ns = None

@@ -35,6 +35,8 @@ class Pll:
     ):
         if relock_ns < 0:
             raise ValueError(f"relock time must be non-negative, got {relock_ns}")
+        if power_w < 0:
+            raise ValueError(f"power must be non-negative, got {power_w}")
         self.sim = sim
         self.name = name
         self.channel = channel

@@ -49,9 +49,9 @@ class TransitionTrace:
         """
         original_enter = counter.enter
 
-        def traced_enter(state: str) -> None:
+        def traced_enter(state: str, power_w: float | None = None) -> None:
             previous = counter.state
-            original_enter(state)
+            original_enter(state, power_w)
             if state != previous:
                 self.record(entity, previous, state)
 

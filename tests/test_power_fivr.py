@@ -128,6 +128,38 @@ class TestPreemptiveCommands:
         sim.run(until_ns=1_000)
         assert clm.channel.energy_j == pytest.approx(spec.nominal_w * 1e-6)
 
+    def test_clm_draws_match_the_interpolation(self, sim, meter):
+        # The draws read off precomputed values equal what for_voltage
+        # gives at each step: both full ramps, both settles, and a ramp
+        # preempted mid-way (which interpolates from where it stopped).
+        spec = DEFAULT_BUDGET.clm
+        clm = ClmDomain(sim, spec, meter.channel("clm", "package"))
+        f = spec.for_voltage
+        nominal_v, retention_v = 0.8, clm.fivrs[0].retention_v
+        steps = []
+
+        def record():
+            steps.append(clm.channel.power_w)
+
+        sim.schedule_at(0, clm.ret.set, True)
+        sim.schedule_at(0, record)  # full ramp down
+        sim.schedule_at(200, record)  # settled at retention
+        sim.schedule_at(300, clm.ret.set, False)
+        sim.schedule_at(300, record)  # full ramp up
+        sim.schedule_at(500, record)  # settled at nominal
+        sim.schedule_at(600, clm.ret.set, True)
+        sim.schedule_at(650, clm.ret.set, False)  # preempted at 0.7 V
+        sim.schedule_at(650, record)
+        sim.run(until_ns=1_000)
+        assert steps == [
+            (f(nominal_v) + f(retention_v)) / 2.0,
+            f(retention_v),
+            (f(retention_v) + f(nominal_v)) / 2.0,
+            f(nominal_v),
+            (f(0.8 - 0.002 * 50) + f(nominal_v)) / 2.0,
+        ]
+        assert clm.channel.power_w == f(nominal_v)
+
 
 class TestFollowerFivr:
     """Vccclm1 follows Vccclm0: one command and one ramp event move both."""

@@ -2,7 +2,15 @@
 
 import pytest
 
+from repro.power.budgets import (
+    ClmPowerSpec,
+    CorePowerSpec,
+    DramPowerSpec,
+    LinkPowerSpec,
+    MemoryControllerPowerSpec,
+)
 from repro.power.residency import ResidencyCounter
+from repro.tracing.events import TransitionTrace
 from repro.units import S
 
 
@@ -25,10 +33,21 @@ class TestPowerChannel:
         sim.run(until_ns=10_000)
         assert ch.energy_j == pytest.approx(5.0 * 10_000 / S)
 
-    def test_negative_power_rejected(self, sim, meter):
-        ch = meter.channel("c", "package")
-        with pytest.raises(ValueError):
-            ch.set_power(-1.0)
+    def test_negative_power_rejected(self):
+        # A negative draw fails where the spec is defined, not at the
+        # first transition into the state that reads it.
+        bad = [
+            lambda: CorePowerSpec(cc1_w=-1.0),
+            lambda: CorePowerSpec(transition_w=-0.1),
+            lambda: LinkPowerSpec(kind="pcie", l0_w=1.3, shallow_w=-0.5, l1_w=0.2),
+            lambda: MemoryControllerPowerSpec(cke_off_w=-1.25),
+            lambda: DramPowerSpec(self_refresh_w=-0.25),
+            lambda: DramPowerSpec(access_energy_j_per_byte=-1e-12),
+            lambda: ClmPowerSpec(retention_w=-3.0),
+        ]
+        for make in bad:
+            with pytest.raises(ValueError, match="must be non-negative"):
+                make()
 
     def test_negative_initial_power_rejected(self, sim, meter):
         with pytest.raises(ValueError):
@@ -133,20 +152,69 @@ class TestResidencyCounter:
         assert sum(fractions.values()) == pytest.approx(1.0)
         assert fractions["A"] == pytest.approx(0.15)
 
-    def test_reentering_same_state_is_noop(self, sim):
-        counter = ResidencyCounter(sim, "A")
-        sim.schedule(10, counter.enter, "A")
+    def test_reentering_same_state_is_noop(self, sim, meter):
+        channel = meter.channel("c", "package", power_w=2.0)
+        counter = ResidencyCounter(sim, "A", channel)
+        sim.schedule(10, counter.enter, "A", 7.0)
         sim.run(until_ns=100)
-        assert counter.transitions() == 0
+        assert counter.fractions() == {"A": 1.0}
+        assert channel.power_w == 2.0
+        assert channel.energy_j == pytest.approx(2.0 * 100 / S)
 
     def test_transition_counting(self, sim):
+        # The counter keeps no transition counts; a trace on its
+        # ``enter`` records each change.
         counter = ResidencyCounter(sim, "A")
-        for t, state in ((10, "B"), (20, "A"), (30, "B")):
+        trace = TransitionTrace(sim)
+        trace.attach("e", counter)
+        for t, state in ((10, "B"), (20, "A"), (30, "B"), (40, "B")):
             sim.schedule(t, counter.enter, state)
         sim.run(until_ns=50)
-        assert counter.transitions() == 3
-        assert counter.transitions(src="A", dst="B") == 2
-        assert counter.entries("B") == 2
+        moves = [(e.from_state, e.to_state) for e in trace.events]
+        assert moves == [("A", "B"), ("B", "A"), ("A", "B")]
+        assert counter.residency_ns("A") == 20
+        assert counter.residency_ns("B") == 30
+
+    def test_enter_sets_the_channel_draw(self, sim, meter):
+        channel = meter.channel("c", "package", power_w=1.0)
+        counter = ResidencyCounter(sim, "A", channel)
+        sim.schedule(100, counter.enter, "B", 3.0)
+        sim.schedule(300, counter.enter, "C")  # state only: the draw holds
+        sim.run(until_ns=400)
+        assert channel.power_w == 3.0
+        assert channel.energy_j == pytest.approx((1.0 * 100 + 3.0 * 300) / S)
+        assert counter.residency_ns("C") == 100
+
+    def test_one_enter_matches_enter_then_set_power(self, sim, meter):
+        # Float-identical to the two-call sequence it replaced: a meter
+        # readout between two changes moves the channel's checkpoint but
+        # not the counter's, and two changes land at one timestamp.
+        one = meter.channel("one", "package", power_w=2.42)
+        two = meter.channel("two", "package", power_w=2.42)
+        counter = ResidencyCounter(sim, "active", one)
+        reference = ResidencyCounter(sim, "active")
+
+        def change(state, power_w):
+            counter.enter(state, power_w)
+            reference.enter(state)
+            two.set_power(power_w)
+
+        steps = [
+            (7, "cke_off", 1.25),
+            (7, "active", 2.42),  # same timestamp
+            (1_003, "cke_off", 1.25),
+            (2_999, "self_refresh", 0.7),
+            (52_001, "active", 13.4 / 3),
+        ]
+        sim.schedule_at(1_500, meter.readout)  # between two changes
+        sim.schedule_at(2_999, meter.readout)  # at a change, just before it
+        for t, state, power_w in steps:
+            sim.schedule_at(t, change, state, power_w)
+        sim.run(until_ns=90_017)
+        assert one.energy_j == two.energy_j
+        assert one.power_w == two.power_w
+        for state in ("active", "cke_off", "self_refresh"):
+            assert counter.residency_ns(state) == reference.residency_ns(state)
 
     def test_reset_starts_new_window(self, sim):
         counter = ResidencyCounter(sim, "A")
@@ -157,7 +225,7 @@ class TestResidencyCounter:
         assert counter.total_ns() == 100
         assert counter.residency_ns("A") == 50
         assert counter.residency_ns("B") == 50
-        assert counter.transitions() == 1
+        assert counter.fractions() == {"A": 0.5, "B": 0.5}
 
     def test_empty_window_fraction_zero(self, sim):
         counter = ResidencyCounter(sim, "A")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _machines import build_machine
+from repro.iolink.lstates import LSTATE_BY_NAME
 from repro.soc.cpu import Job
 from repro.soc.package import PackageCState
 from repro.units import MS, US
@@ -171,6 +172,40 @@ class TestConservationInvariants:
         for link in machine.links:
             fractions = link.residency.fractions()
             assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_mc_and_dram_residency_partitions_time(self):
+        machine = self._loaded_machine("CPC1A")
+        for component in machine.memory_controllers + machine.dram_devices:
+            fractions = component.residency.fractions()
+            assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_link_energy_matches_its_residency(self):
+        # A link's draw is a function of its L-state, so its channel
+        # energy is the residency-weighted sum of the state draws.
+        machine = self._loaded_machine("CPC1A")
+        for link in machine.links:
+            counter = link.residency
+            ns_w = sum(
+                counter.residency_ns(state)
+                * link.power_spec.watts[LSTATE_BY_NAME[state].power_class]
+                for state in counter.fractions()
+            )
+            assert ns_w > 0
+            assert link.channel.energy_j == pytest.approx(ns_w / 1e9, rel=1e-12)
+
+    def test_dram_energy_matches_its_residency_and_traffic(self):
+        machine = self._loaded_machine("CPC1A")
+        for device in machine.dram_devices:
+            counter = device.residency
+            ns_w = sum(
+                counter.residency_ns(state) * device.spec.watts[state]
+                for state in counter.fractions()
+            )
+            access_j = device.bytes_accessed * device.spec.access_energy_j_per_byte
+            assert access_j > 0
+            assert device.channel.energy_j == pytest.approx(
+                ns_w / 1e9 + access_j, rel=1e-12
+            )
 
     def test_mc_cke_cycles_under_load(self):
         machine = self._loaded_machine("CPC1A")

@@ -236,8 +236,8 @@ class TestWalkerLeaves:
         checkpoint = MachineCheckpoint(
             ServerMachine(config_by_name("CPC1A"), seed=1)
         )
-        assert len(checkpoint._dict_plans) == 127
-        assert len(checkpoint._refills) == 83
+        assert len(checkpoint._dict_plans) == 119
+        assert len(checkpoint._refills) == 62
         assert len(checkpoint._slot_plans) == 30
 
     def test_machine_specs_and_config_are_leaves(self):

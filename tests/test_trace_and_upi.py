@@ -23,6 +23,41 @@ class TestTransitionTrace:
         assert (first.time_ns, first.from_state, first.to_state) == (10, "CC0", "CC1")
         assert (second.time_ns, second.to_state) == (30, "CC0")
 
+    def test_records_every_transition_of_a_live_link_and_core(self):
+        # The trace wraps the counter's ``enter``; every LTSSM and
+        # C-state change of a running machine must pass through it.
+        machine = build_machine("CPC1A", seed=5)
+        sim = machine.sim
+        MemcachedWorkload(20_000).start(sim, machine)
+        sim.run(until_ns=1 * MS)
+        link, core = machine.links[0], machine.cores[0]
+        trace = TransitionTrace(sim)
+        trace.attach("link", link.residency)
+        trace.attach("core", core.residency)
+        # Independent records: the LTSSM's transition listener and the
+        # core's InCC1 wire (CPC1A cores idle in CC1 only).
+        ltssm_moves = []
+        sync_state = link.ltssm._on_transition
+
+        def spy(state):
+            ltssm_moves.append((sim.now, state))
+            sync_state(state)
+
+        link.ltssm._on_transition = spy
+        core_moves = []
+
+        def on_in_cc1(signal, old, new):
+            core_moves.append((sim.now, "CC1" if new else "CC0"))
+
+        core.in_cc1.watch(on_in_cc1)
+        sim.run(until_ns=sim.now + 5 * MS)
+        traced_link = [(e.time_ns, e.to_state) for e in trace.for_entity("link")]
+        traced_core = [(e.time_ns, e.to_state) for e in trace.for_entity("core")]
+        assert len(ltssm_moves) > 50 and len(core_moves) > 5
+        assert traced_link == ltssm_moves
+        assert traced_core == core_moves
+        assert trace.dropped == 0
+
     def test_noop_enter_not_recorded(self, sim):
         trace = TransitionTrace(sim)
         counter = ResidencyCounter(sim, "CC0")
