@@ -27,7 +27,8 @@ Run with::
 import argparse
 
 from repro.analysis import format_table
-from repro.fleet import ClusterConfig, FleetSpec, fleet_power_curve
+from repro.analysis.cluster import PowerCurve
+from repro.fleet import ClusterConfig, FleetSpec
 from repro.sweep import SweepSession, WorkloadPoint
 from repro.units import MS
 
@@ -126,7 +127,7 @@ def main(argv=None) -> None:
         ("CPC1A", routing) for routing in ROUTINGS
     ]:
         scores = [
-            fleet_power_curve(
+            PowerCurve.from_results(
                 results.select(machine=config, routing=routing, seed=s),
                 label=f"{config}/{routing}",
             ).proportionality_score()

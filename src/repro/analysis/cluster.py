@@ -6,8 +6,8 @@ run at 5–20 % utilization, so the *low-load* part of the power curve
 dominates fleet energy. This module lifts single-server measurements
 to that level:
 
-* :class:`PowerCurve` — a server's power-vs-utilization curve built
-  from a sweep of experiment results;
+* :class:`PowerCurve` — a server's (or a measured fleet's)
+  power-vs-utilization curve built from a sweep of results;
 * an **energy-proportionality score** (Wong & Annavaram's EP metric,
   [93] in the paper): 1 minus the normalized area between the actual
   curve and the ideal proportional line — 1.0 is perfectly
@@ -19,10 +19,14 @@ to that level:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.server.experiment import ExperimentResult
+
+if TYPE_CHECKING:
+    from repro.fleet.result import FleetResult
 
 
 @dataclass(frozen=True)
@@ -43,9 +47,10 @@ class PowerCurve:
 
     @classmethod
     def from_results(
-        cls, results: list[ExperimentResult], label: str = ""
+        cls, results: Sequence[ExperimentResult | FleetResult], label: str = ""
     ) -> "PowerCurve":
-        """Build a curve from a sweep (sorted by utilization)."""
+        """Build a curve from a sweep of server or fleet results (sorted
+        by utilization)."""
         points = sorted(
             ((r.utilization, r.total_power_w) for r in results),
             key=lambda p: p[0],

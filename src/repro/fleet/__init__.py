@@ -21,9 +21,12 @@ actually harvest. This package simulates that interaction directly:
   stream across them (``round-robin``, ``least-outstanding``,
   ``power-aware-pack``, ``power-aware-spread``) with a dispatch
   latency knob;
-- :class:`FleetResult` carries fleet power, per-server breakdowns and
-  the pooled latency distribution; :func:`fleet_power_curve` lifts a
-  rate sweep into the energy-proportionality analysis;
+- :class:`FleetResult` carries fleet power, the pooled latency
+  distribution and one :class:`ServerResult` per server (the
+  single-server record plus routing, park and P-state telemetry);
+  :meth:`PowerCurve.from_results
+  <repro.analysis.cluster.PowerCurve.from_results>` lifts a rate sweep
+  into the energy-proportionality analysis;
 - :class:`FleetSpec`/:class:`FleetCell` run fleet grids through
   :class:`~repro.sweep.session.SweepSession` with the same
   determinism and caching guarantees as single-machine sweeps;
@@ -47,7 +50,6 @@ from repro.fleet.result import (
     FleetResult,
     ServerResult,
     flatten_fleet_result,
-    fleet_power_curve,
 )
 from repro.fleet.routing import (
     POLICY_FUNCTIONS,
@@ -74,7 +76,6 @@ __all__ = [
     "ServerResult",
     "collect_fleet_result",
     "flatten_fleet_result",
-    "fleet_power_curve",
     "park_enabled",
     "run_fleet_experiment",
     "server_prefix",

@@ -494,11 +494,6 @@ class FleetMachine:
         """Requests completed across the whole fleet."""
         return sum(machine.requests_completed for machine in self.machines)
 
-    def utilization(self) -> float:
-        """Mean processor utilization across the fleet's servers."""
-        total = sum(machine.utilization() for machine in self.machines)
-        return total / len(self.machines)
-
     def stats(self) -> MachineStats:
         """Kernel counters of the shared simulator (fleet-wide)."""
         return MachineStats.from_simulator(self.sim)

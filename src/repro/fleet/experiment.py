@@ -14,6 +14,7 @@ from __future__ import annotations
 from repro.cell import measure_window
 from repro.fleet.cluster import ClusterConfig, FleetMachine
 from repro.fleet.result import FleetResult, ServerResult
+from repro.server.experiment import collect_server
 from repro.server.stats import summarize_latency_ns
 from repro.units import MS, ns_to_s
 from repro.workloads.base import Workload
@@ -70,32 +71,27 @@ def collect_fleet_result(
     readout = fleet.meter.readout()
     routed = fleet.balancer.routed
     parked_residency, park_transitions = fleet.park_telemetry(duration_ns)
-    servers = []
-    for index, machine in enumerate(fleet.machines):
-        package = readout.get(machine.package_domain)
-        dram = readout.get(machine.dram_domain)
-        servers.append(ServerResult(
+    servers = tuple(
+        ServerResult(
+            **collect_server(machine, readout, duration_s),
             index=index,
             routed=int(routed[index]),
-            requests_completed=machine.requests_completed,
-            package_power_w=(package.energy_j if package else 0.0) / duration_s,
-            dram_power_w=(dram.energy_j if dram else 0.0) / duration_s,
-            utilization=machine.utilization(),
-            package_residency=machine.package.residency.fractions(),
-            latency=machine.latency.summary(machine.config.network_latency_ns),
             park_transitions=park_transitions[index],
             parked_residency=parked_residency[index],
             pstate_residency=machine.pstate_residency(duration_ns),
-        ))
+        )
+        for index, machine in enumerate(fleet.machines)
+    )
     # The pooled distribution is computed from the concatenated raw
     # samples — exact percentiles, not a merge of per-server
     # summaries (LatencySummary.merge is for when samples are gone).
+    # Each sample carries its own server's network latency, as that
+    # server's summary does.
     pooled_samples = [
-        sample
+        sample + machine.config.network_latency_ns
         for machine in fleet.machines
         for sample in machine.latency.samples_ns()
     ]
-    network_latency_ns = fleet.machines[0].config.network_latency_ns
     completed = sum(server.requests_completed for server in servers)
     # The canonical built name, not the spelled base: a Cshallow
     # cluster overridden to pc1a reports (and aggregates) as CPC1A.
@@ -116,8 +112,8 @@ def collect_fleet_result(
         package_power_w=sum(s.package_power_w for s in servers),
         dram_power_w=sum(s.dram_power_w for s in servers),
         utilization=sum(s.utilization for s in servers) / len(servers),
-        latency=summarize_latency_ns(pooled_samples, network_latency_ns),
-        servers=tuple(servers),
+        latency=summarize_latency_ns(pooled_samples),
+        servers=servers,
         control=cluster.control,
         slo_violations=(
             fleet.control.slo_violations if fleet.control is not None else 0

@@ -11,35 +11,29 @@ and which servers actually reached deep package idle. Results are
 plain data: they round-trip through JSON for the sweep result store
 and compare equal after the trip.
 
-:func:`fleet_power_curve` lifts a rate sweep of fleet results into the
-:class:`~repro.analysis.cluster.PowerCurve` the energy-proportionality
-analysis already understands — the measured-cluster replacement for
-the old "one server times N" idealization.
+:meth:`PowerCurve.from_results
+<repro.analysis.cluster.PowerCurve.from_results>` lifts a rate sweep of
+fleet results into a measured-cluster power curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
 
-from repro.analysis.cluster import PowerCurve
+from repro.server.experiment import ServerRecord
 from repro.server.stats import LatencySummary, MachineStats
 from repro.units import ns_to_s, ns_to_us
 
 
-@dataclass(frozen=True)
-class ServerResult:
-    """One server's share of a fleet measurement window."""
+@dataclass(frozen=True, kw_only=True)
+class ServerResult(ServerRecord):
+    """One server's share of a fleet measurement window: its
+    :class:`~repro.server.experiment.ServerRecord` plus what only a
+    fleet knows about it."""
 
     index: int
     #: Requests the balancer routed here (window-scoped).
     routed: int
-    requests_completed: int
-    package_power_w: float
-    dram_power_w: float
-    utilization: float
-    package_residency: dict[str, float]
-    latency: LatencySummary
     #: Park/unpark edges this server took during the window.
     park_transitions: int = 0
     #: Fraction of the window spent parked (mask raised).
@@ -47,16 +41,6 @@ class ServerResult:
     #: Fraction of the window at each P-state (zero entries omitted;
     #: empty = spent entirely at the table's nominal state).
     pstate_residency: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total_power_w(self) -> float:
-        return self.package_power_w + self.dram_power_w
-
-    def pc1a_residency(self) -> float:
-        return self.package_residency.get("PC1A", 0.0)
-
-    def pc6_residency(self) -> float:
-        return self.package_residency.get("PC6", 0.0)
 
 
 @dataclass(frozen=True)
@@ -130,8 +114,14 @@ class FleetResult:
 
     # -- persistence -------------------------------------------------------
     def as_dict(self) -> dict:
-        """Plain-data form (exact float round-trip via JSON)."""
-        return asdict(self)
+        """Plain-data form (exact float round-trip via JSON); each
+        server in its record's :meth:`~ServerRecord.as_dict` form."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["latency"] = self.latency.as_dict()
+        payload["servers"] = [server.as_dict() for server in self.servers]
+        if self.kernel is not None:
+            payload["kernel"] = self.kernel.as_dict()
+        return payload
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetResult":
@@ -139,30 +129,11 @@ class FleetResult:
         data = dict(data)
         data["latency"] = LatencySummary(**data["latency"])
         data["servers"] = tuple(
-            ServerResult(
-                **{**server, "latency": LatencySummary(**server["latency"])}
-            )
-            for server in data["servers"]
+            ServerResult.from_dict(server) for server in data["servers"]
         )
         if data.get("kernel") is not None:
             data["kernel"] = MachineStats(**data["kernel"])
         return cls(**data)
-
-
-def fleet_power_curve(results: Sequence[FleetResult], label: str = "") -> PowerCurve:
-    """A fleet's power-vs-utilization curve from a rate sweep.
-
-    Sorted by fleet utilization, like
-    :meth:`PowerCurve.from_results`; feed it to
-    :meth:`PowerCurve.proportionality_score` for the measured-cluster
-    EP metric.
-    """
-    points = sorted((r.utilization, r.total_power_w) for r in results)
-    return PowerCurve(
-        utilizations=tuple(p[0] for p in points),
-        powers_w=tuple(p[1] for p in points),
-        label=label,
-    )
 
 
 #: Column order of :func:`flatten_fleet_result` (the ``repro fleet``

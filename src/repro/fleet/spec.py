@@ -33,7 +33,10 @@ from repro.workloads.base import Workload
 #: v3: cells carry the autoscaling control axis (controller name +
 #: canonical controller-knob pairs) and results carry controller
 #: telemetry, so controlled and static runs can never alias.
-FLEET_SCHEMA_VERSION = 3
+#: v4: each server's result is the full single-server record (PC1A and
+#: PC6 counts, core residency and wakes, the idle-period views), and
+#: the pooled latency adds each server's own network latency.
+FLEET_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)

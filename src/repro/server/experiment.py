@@ -5,13 +5,18 @@ uses: build a machine, warm it up, measure a window, and return an
 :class:`ExperimentResult` carrying power, residency, latency,
 transition counts and the idle-period trace views — the full set of
 observables the paper reports across Figs. 5–9.
+They form one :class:`ServerRecord`, which :func:`collect_server`
+fills for a server cell and for each server of a fleet cell alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
+from typing import Any, TypeVar
 
 from repro.cell import measure_window
+from repro.power.meter import DomainReadout
 from repro.server.configs import MachineConfig
 from repro.server.machine import ServerMachine
 from repro.server.stats import LatencySummary, MachineStats
@@ -20,27 +25,36 @@ from repro.units import MS, ns_to_s
 from repro.workloads.base import Workload
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Everything measured over one experiment window."""
+_R = TypeVar("_R", bound="ServerRecord")
 
-    config_name: str
-    workload_name: str
-    seed: int
-    duration_ns: int
-    offered_qps: float
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+@dataclass(frozen=True, kw_only=True)
+class ServerRecord:
+    """One machine's observables over one measurement window.
+
+    The fields with defaults read as "not measured" in records written
+    before they existed (fleet records of schema v3 and older).
+    """
+
+    #: The fields holding a nested dataclass, and its type.
+    _NESTED = (("latency", LatencySummary), ("socwatch", OpportunityEstimate))
+
     requests_completed: int
-    achieved_qps: float
     # Power (averages over the window).
     package_power_w: float
     dram_power_w: float
     # Residency.
-    core_residency: dict[str, float]
+    core_residency: dict[str, float] = field(default_factory=dict)
     package_residency: dict[str, float]
     utilization: float
-    all_idle_fraction: float
-    socwatch: OpportunityEstimate
-    idle_histogram: dict[str, float]
+    all_idle_fraction: float = 0.0
+    socwatch: OpportunityEstimate = OpportunityEstimate(0.0, 0.0, 0, 0, 0.0)
+    idle_histogram: dict[str, float] = field(default_factory=dict)
     # Latency (end-to-end, network folded in).
     latency: LatencySummary
     # Transition accounting.
@@ -53,11 +67,6 @@ class ExperimentResult:
     core_wakes: int = 0
     active_after_idle_mean: float = 1.0
     active_after_idle_dist: dict[int, float] = field(default_factory=dict)
-    # Simulator health (kernel counters at collection time; None for
-    # results persisted before the counters existed). Diagnostics, not
-    # an observable: excluded from result equality so windows measured
-    # after different warmups still compare equal.
-    kernel: MachineStats | None = field(default=None, compare=False)
 
     @property
     def total_power_w(self) -> float:
@@ -71,6 +80,65 @@ class ExperimentResult:
     def pc6_residency(self) -> float:
         """Fraction of the window actually spent in PC6."""
         return self.package_residency.get("PC6", 0.0)
+
+    # -- persistence -------------------------------------------------------
+    def as_dict(self) -> dict:
+        """Plain-data form (exact float round-trip via JSON).
+
+        Equal to ``dataclasses.asdict(self)`` without its deep copy: the
+        nested dataclasses become fresh dicts, while the residency and
+        histogram dicts are the record's own. Treat the returned
+        containers as read-only.
+        """
+        payload = {name: getattr(self, name) for name in _field_names(type(self))}
+        for name, nested in self._NESTED:
+            value = payload[name]
+            if value is not None:
+                payload[name] = {
+                    key: getattr(value, key) for key in _field_names(nested)
+                }
+        return payload
+
+    @classmethod
+    def from_dict(cls: type[_R], data: dict) -> _R:
+        """Inverse of :meth:`as_dict`.
+
+        JSON stringifies the integer keys of the active-after-idle
+        histogram; restore them so round-tripped records compare equal
+        to freshly measured ones. A field the data lacks takes its
+        default.
+        """
+        data = dict(data)
+        for name, nested in cls._NESTED:
+            value = data.get(name)
+            if value is not None:
+                data[name] = nested(**value)
+        if "active_after_idle_dist" in data:
+            data["active_after_idle_dist"] = {
+                int(n): frac for n, frac in data["active_after_idle_dist"].items()
+            }
+        return cls(**data)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentResult(ServerRecord):
+    """Everything measured over one experiment window."""
+
+    #: Store-record tag (see ``repro.sweep.store``).
+    result_kind = "experiment"
+    _NESTED = ServerRecord._NESTED + (("kernel", MachineStats),)
+
+    config_name: str
+    workload_name: str
+    seed: int
+    duration_ns: int
+    offered_qps: float
+    achieved_qps: float
+    # Simulator health (kernel counters at collection time; None for
+    # results persisted before the counters existed). Diagnostics, not
+    # an observable: excluded from result equality so windows measured
+    # after different warmups still compare equal.
+    kernel: MachineStats | None = field(default=None, compare=False)
 
 
 def run_experiment(
@@ -106,34 +174,23 @@ def run_experiment(
     return collect_result(machine, workload, duration_ns, seed)
 
 
-def collect_result(
+def collect_server(
     machine: ServerMachine,
-    workload: Workload,
-    duration_ns: int,
-    seed: int,
-) -> ExperimentResult:
-    """Assemble an :class:`ExperimentResult` from a measured machine."""
-    duration_s = ns_to_s(duration_ns)
+    readout: dict[str, DomainReadout],
+    duration_s: float,
+) -> dict[str, Any]:
+    """The :class:`ServerRecord` fields of a measured machine; its power
+    comes from ``readout``, one pass over the meter its channels are on
+    (shared by every server of a fleet)."""
     apmu, gpmu = machine.apmu, machine.gpmu
-    # One pass over all power channels instead of a filter-and-sum per
-    # domain; accumulation order matches per-domain energy_j() exactly.
-    power = machine.meter.readout()
-    package = power.get(machine.package_domain)
-    dram = power.get(machine.dram_domain)
-    package_energy_j = package.energy_j if package is not None else 0.0
-    dram_energy_j = dram.energy_j if dram is not None else 0.0
+    package = readout.get(machine.package_domain)
+    dram = readout.get(machine.dram_domain)
     # One pass over the cores' residency; utilization is its CC0 share.
     core_residency = machine.core_residency()
-    return ExperimentResult(
-        config_name=machine.config.name,
-        workload_name=workload.name,
-        seed=seed,
-        duration_ns=duration_ns,
-        offered_qps=workload.offered_qps,
+    return dict(
         requests_completed=machine.requests_completed,
-        achieved_qps=machine.requests_completed / duration_s,
-        package_power_w=package_energy_j / duration_s,
-        dram_power_w=dram_energy_j / duration_s,
+        package_power_w=(package.energy_j if package else 0.0) / duration_s,
+        dram_power_w=(dram.energy_j if dram else 0.0) / duration_s,
         core_residency=core_residency,
         package_residency=machine.package.residency.fractions(),
         utilization=core_residency.get("CC0", 0.0),
@@ -150,5 +207,25 @@ def collect_result(
         core_wakes=sum(core.wake_count for core in machine.cores),
         active_after_idle_mean=machine.active_sampler.mean_active(),
         active_after_idle_dist=machine.active_sampler.distribution(),
+    )
+
+
+def collect_result(
+    machine: ServerMachine,
+    workload: Workload,
+    duration_ns: int,
+    seed: int,
+) -> ExperimentResult:
+    """Assemble an :class:`ExperimentResult` from a measured machine."""
+    duration_s = ns_to_s(duration_ns)
+    record = collect_server(machine, machine.meter.readout(), duration_s)
+    return ExperimentResult(
+        **record,
+        config_name=machine.config.name,
+        workload_name=workload.name,
+        seed=seed,
+        duration_ns=duration_ns,
+        offered_qps=workload.offered_qps,
+        achieved_qps=record["requests_completed"] / duration_s,
         kernel=machine.stats(),
     )

@@ -407,10 +407,6 @@ class ServerMachine:
                 totals[state] = totals.get(state, 0.0) + fraction
         return {state: value / len(self.cores) for state, value in totals.items()}
 
-    def utilization(self) -> float:
-        """Average CC0 residency across cores (processor load)."""
-        return self.core_residency().get("CC0", 0.0)
-
     def run_for(self, duration_ns: int) -> None:
         """Advance the simulation by a fixed amount of time."""
         self.sim.run(until_ns=self.sim.now + duration_ns)

@@ -69,8 +69,6 @@ from repro.sweep.store import (
     StoreCorruption,
     StreamingCsvWriter,
     flatten_result,
-    result_from_dict,
-    result_to_dict,
     write_csv,
 )
 from repro.sweep.supervisor import (
@@ -114,8 +112,6 @@ __all__ = [
     "merge_props",
     "normalize_props",
     "preset_points",
-    "result_from_dict",
-    "result_to_dict",
     "warmup_for_duration",
     "write_csv",
 ]

@@ -24,49 +24,17 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterable
 
 from repro.sweep import chaos
 
 from repro.server.experiment import ExperimentResult
-from repro.server.stats import LatencySummary, MachineStats
 from repro.sweep.spec import ExperimentSpec
-from repro.tracing.socwatch import OpportunityEstimate
 
 
 class StoreCorruption(ValueError):
     """A store record exists on disk but cannot be trusted."""
-
-
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(field.name for field in fields(cls))
-
-
-#: The fields of an ExperimentResult, and of the dataclasses it nests.
-_RESULT_FIELDS = _field_names(ExperimentResult)
-_NESTED_FIELDS = {
-    "latency": _field_names(LatencySummary),
-    "socwatch": _field_names(OpportunityEstimate),
-    "kernel": _field_names(MachineStats),
-}
-
-
-def result_to_dict(result: ExperimentResult) -> dict:
-    """Plain-data form of a result (exact float round-trip via JSON).
-
-    Equal to ``dataclasses.asdict(result)`` without its deep copy: the
-    nested dataclasses (latency, SoCWatch estimate, kernel counters)
-    become fresh dicts, while the residency and histogram dicts are the
-    result's own. Treat the returned containers as read-only.
-    """
-    payload = {name: getattr(result, name) for name in _RESULT_FIELDS}
-    for name, nested in _NESTED_FIELDS.items():
-        value = payload[name]
-        if value is not None:
-            payload[name] = {field: getattr(value, field) for field in nested}
-    return payload
 
 
 #: The canonical compact JSON of a payload: what its checksum covers.
@@ -80,53 +48,22 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
-def _encode_result(result) -> tuple[str, dict]:
-    """(kind tag, plain-data payload) for any storable result type.
+def _result_type(kind: str | None) -> Any:
+    """The result class a record's ``kind`` tag names.
 
-    Single-server cells store :class:`ExperimentResult`; fleet cells
-    store :class:`~repro.fleet.result.FleetResult`, which carries its
-    own ``result_kind`` tag and ``as_dict``/``from_dict`` pair. The
-    tag is persisted in the record so :meth:`ResultStore.get` can
-    decode without guessing.
+    Every storable result carries a ``result_kind`` tag and an
+    ``as_dict``/``from_dict`` pair; :meth:`ResultStore.put` persists
+    the tag so :meth:`ResultStore.get` can decode without guessing.
+    Records predating the tag are experiment records. The fleet
+    package is imported on its first record only.
     """
-    if isinstance(result, ExperimentResult):
-        return "experiment", result_to_dict(result)
-    kind = getattr(result, "result_kind", None)
-    if kind == "fleet":
-        return kind, result.as_dict()
-    raise TypeError(f"cannot store a result of type {type(result).__name__!r}")
+    if kind is None or kind == ExperimentResult.result_kind:
+        return ExperimentResult
+    from repro.fleet.result import FleetResult
 
-
-def _decode_result(kind: str | None, data: dict):
-    """Inverse of :func:`_encode_result` (records predating the tag
-    are experiment records)."""
-    if kind in (None, "experiment"):
-        return result_from_dict(data)
-    if kind == "fleet":
-        from repro.fleet.result import FleetResult
-
-        return FleetResult.from_dict(data)
+    if kind == FleetResult.result_kind:
+        return FleetResult
     raise ValueError(f"unknown result kind {kind!r}")
-
-
-def result_from_dict(data: dict) -> ExperimentResult:
-    """Inverse of :func:`result_to_dict`.
-
-    JSON stringifies the integer keys of the active-after-idle
-    histogram; restore them so round-tripped results compare equal to
-    freshly measured ones.
-    """
-    data = dict(data)
-    data["latency"] = LatencySummary(**data["latency"])
-    data["socwatch"] = OpportunityEstimate(**data["socwatch"])
-    data["active_after_idle_dist"] = {
-        int(n): frac for n, frac in data["active_after_idle_dist"].items()
-    }
-    # Records persisted before the kernel counters existed lack the
-    # field (or carry an explicit null); both deserialize to None.
-    if data.get("kernel") is not None:
-        data["kernel"] = MachineStats(**data["kernel"])
-    return ExperimentResult(**data)
 
 
 #: Column order of :func:`flatten_result` / :func:`write_csv`.
@@ -347,7 +284,7 @@ class ResultStore:
         if expected is not None and _checksum(record["result"]) != expected:
             raise StoreCorruption(f"record {path.name} fails its checksum")
         try:
-            result = _decode_result(record.get("kind"), record["result"])
+            result = _result_type(record.get("kind")).from_dict(record["result"])
         except (ValueError, KeyError, TypeError) as error:
             raise StoreCorruption(
                 f"record {path.name} does not decode: "
@@ -406,7 +343,8 @@ class ResultStore:
         name carries the writer's PID so concurrent puts of one key
         never interleave, and a failed write cleans its temp file up.
         """
-        kind, payload = _encode_result(result)
+        kind = result.result_kind
+        payload = result.as_dict()
         # The payload is encoded once, in the canonical form its
         # checksum covers, and spliced into the compact record: the
         # text equals json.dumps(record, sort_keys=True,

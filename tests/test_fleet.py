@@ -6,9 +6,12 @@ from __future__ import annotations
 import io
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
+from repro.analysis.cluster import PowerCurve
+from repro.api import run_cell
 from repro.cli import main as cli_main
 from repro.fleet import (
     FLEET_CSV_COLUMNS,
@@ -17,13 +20,13 @@ from repro.fleet import (
     FleetMachine,
     FleetResult,
     FleetSpec,
-    fleet_power_curve,
     flatten_fleet_result,
     run_fleet_experiment,
     server_prefix,
 )
+from repro.server.experiment import ServerRecord
 from repro.server.stats import EMPTY_SUMMARY, LatencySummary
-from repro.sweep import ResultStore, SweepSession, WorkloadPoint
+from repro.sweep import ExperimentSpec, ResultStore, SweepSession, WorkloadPoint
 from repro.units import MS, US
 from repro.workloads.base import NullWorkload, Request
 from repro.workloads.memcached import MemcachedWorkload
@@ -285,6 +288,24 @@ class TestFleetExperiment:
         expected = np.percentile(np.asarray(samples, float) + network, 99) / 1000
         assert result.latency.p99_us == pytest.approx(expected, rel=1e-12)
 
+    def test_pooled_latency_adds_each_servers_network_latency(self):
+        # Two servers 500 us apart on the network: every pooled sample
+        # carries its own server's latency, as that server's summary
+        # does, so the pooled mean is the count-weighted server mean.
+        result = run_fleet_experiment(
+            MemcachedWorkload(qps=20_000),
+            small_cluster(server_props=(
+                {"network_latency_ns": 0}, {"network_latency_ns": 500 * US},
+            )),
+            duration_ns=10 * MS, warmup_ns=2 * MS, seed=1,
+        )
+        servers = [s.latency for s in result.servers]
+        assert all(s.count > 0 for s in servers)
+        assert result.latency.count == sum(s.count for s in servers)
+        weighted = sum(s.mean_us * s.count for s in servers) / result.latency.count
+        assert result.latency.mean_us == pytest.approx(weighted, rel=1e-12)
+        assert result.latency.max_us == max(s.max_us for s in servers)
+
     def test_kernel_stats_attribute_to_the_shared_simulator(self, result):
         assert result.kernel is not None
         assert result.kernel.sim_time_ns == 10 * MS  # warmup + window
@@ -326,9 +347,46 @@ class TestFleetExperiment:
             )
             for qps in (0, 30_000, 80_000)
         ]
-        curve = fleet_power_curve(results, label="test")
+        curve = PowerCurve.from_results(results, label="test")
         assert curve.utilizations[0] < curve.utilizations[-1]
         assert 0.0 <= curve.proportionality_score() <= 1.0
+
+
+class TestOneRecord:
+    """A one-server fleet with no dispatch hop measures what the server
+    cell measures: both read the machine through one collector."""
+
+    CASES = {
+        "CPC1A-4K": ("CPC1A", "memcached", 4_000.0, ()),
+        "Cshallow-50K": ("Cshallow", "memcached", 50_000.0, ()),
+        "Cdeep-4K": ("Cdeep", "memcached", 4_000.0, ()),
+        "CPC1A-idle": ("CPC1A", "idle", 0.0, ()),
+        "CPC1A-4K-parked-ticks": (
+            "CPC1A", "memcached", 4_000.0,
+            (("tick_mode", "nohz_idle"), ("timer_tick_hz", 250)),
+        ),
+        "CPC1A-4K-P2": ("CPC1A", "memcached", 4_000.0, (("pstate.nominal", "P2"),)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_server_fleet_reports_the_server_cells_record(self, case):
+        config, workload, qps, props = self.CASES[case]
+        window = dict(seed=1, duration_ns=10 * MS, warmup_ns=2 * MS)
+        point = dict(workload=workload, qps=qps, preset="low", props=props)
+        server = run_cell(ExperimentSpec(config=config, **point, **window))
+        fleet = run_cell(FleetCell(
+            machine=config, n_servers=1, routing="round-robin",
+            dispatch_latency_ns=0, **point, **window,
+        ))
+        (one,) = fleet.servers
+        for field in fields(ServerRecord):
+            assert getattr(one, field.name) == getattr(server, field.name), field.name
+        assert server.requests_completed > 0 or workload == "idle"
+        # Parked ticks are credited in closed form instead of firing.
+        if "tick_mode" in dict(props):
+            assert fleet.kernel.events_processed < server.kernel.events_processed
+        else:
+            assert fleet.kernel.events_processed == server.kernel.events_processed
 
 
 class TestLatencySummaryMerge:

@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 from repro.server.configs import cpc1a
-from repro.server.experiment import run_experiment
+from repro.server.experiment import ExperimentResult, run_experiment
 from repro.server.stats import MachineStats
 from repro.server.ticks import OsTimerTicks
 from repro.sim.engine import COMPACTION_MIN_CANCELLED, SimulationError
 from repro.sim.timers import PeriodicTimer, RestartableTimeout
 from repro.sweep import SweepSession, SweepSpec, memcached_points
-from repro.sweep.store import result_from_dict, result_to_dict
 from repro.units import MS
 from repro.workloads.base import OpenLoopArrivals
 from repro.workloads.memcached import MemcachedWorkload
@@ -227,7 +226,7 @@ class TestKernelObservability:
             MemcachedWorkload(40_000), cpc1a(),
             duration_ns=4 * MS, warmup_ns=1 * MS, seed=2,
         )
-        restored = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
+        restored = ExperimentResult.from_dict(json.loads(json.dumps(result.as_dict())))
         assert restored == result
         assert restored.kernel == result.kernel
 
@@ -236,9 +235,9 @@ class TestKernelObservability:
             MemcachedWorkload(40_000), cpc1a(),
             duration_ns=4 * MS, warmup_ns=1 * MS, seed=2,
         )
-        legacy = result_to_dict(result)
+        legacy = result.as_dict()
         del legacy["kernel"]
-        restored = result_from_dict(json.loads(json.dumps(legacy)))
+        restored = ExperimentResult.from_dict(json.loads(json.dumps(legacy)))
         assert restored.kernel is None
         assert restored == result  # kernel is excluded from equality
 
@@ -269,7 +268,7 @@ class TestDeterminism:
 
         a, b = measure(), measure()
         assert a == b
-        dict_a, dict_b = result_to_dict(a), result_to_dict(b)
+        dict_a, dict_b = a.as_dict(), b.as_dict()
         assert json.dumps(dict_a, sort_keys=True) == json.dumps(dict_b, sort_keys=True)
 
     @pytest.mark.slow
@@ -284,7 +283,7 @@ class TestDeterminism:
             MemcachedWorkload(40_000), cpc1a(),
             duration_ns=10 * MS, warmup_ns=2 * MS, seed=3,
         )
-        current = json.loads(json.dumps(result_to_dict(result), sort_keys=True))
+        current = json.loads(json.dumps(result.as_dict(), sort_keys=True))
         golden = json.loads((DATA_DIR / "golden_experiment.json").read_text())
         mismatched = [key for key in golden if current.get(key) != golden[key]]
         assert mismatched == []

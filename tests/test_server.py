@@ -4,7 +4,7 @@ import pytest
 
 from repro.server.configs import MachineConfig, cdeep, config_by_name, cpc1a, cshallow
 from repro.server.dispatch import Dispatcher
-from repro.server.experiment import run_experiment
+from repro.server.experiment import collect_server, run_experiment
 from repro.server.machine import ServerMachine
 from repro.server.stats import LatencyRecorder
 from repro.units import MS, US
@@ -230,7 +230,8 @@ class TestMachineAssembly:
         machine.sim.run(until_ns=1 * MS)
         machine.begin_measurement()
         machine.sim.run(until_ns=machine.sim.now + 1 * MS)
-        assert machine.utilization() < 0.01
+        observed = collect_server(machine, machine.meter.readout(), 1e-3)
+        assert observed["utilization"] < 0.01
 
     def test_begin_measurement_resets_counters(self, apc_machine):
         machine = apc_machine

@@ -6,6 +6,7 @@ import hashlib
 import json
 import pickle
 import shutil
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from repro.api import FleetCell, run_cell
 from repro.cli import EXPORT_COLUMNS, main as cli_main
 from repro.props import PropertySet, preset_props
 from repro.server.stats import EMPTY_SUMMARY
-from repro.server.experiment import ExperimentResult
+from repro.server.experiment import ExperimentResult, ServerRecord
 from repro.sweep import (
     ExperimentSpec,
     MemoryStore,
@@ -28,8 +29,6 @@ from repro.sweep import (
     flatten_result,
     memcached_points,
     preset_points,
-    result_from_dict,
-    result_to_dict,
     warmup_for_duration,
 )
 from repro.sweep import chaos
@@ -240,8 +239,9 @@ PINNED_KEYS = {
     "preset": "aa30f20cd88fd379d793cb9e",
     "hybrid": "a56f7e7a314a266a03f8771b",
     "trace": "0668bbf551982ff353581b05",
-    "fleet": "bd6361aa4daf9092d03f92d5",
-    "fleet_hybrid": "13bc83d1f7864d5b518bd73d",
+    # Fleet schema v4 (each server's result is the full record).
+    "fleet": "6ac694398a254be5ba5f2aea",
+    "fleet_hybrid": "8a54b9909c1b964782c0128c",
 }
 
 
@@ -339,14 +339,61 @@ class TestRecordLayout:
         cached = store.get(cell.key())
         assert store.hits == 1
         fresh = run_cell(cell)
-        assert self.canonical(result_to_dict(cached)) == self.canonical(
-            result_to_dict(fresh)
-        )
+        assert self.canonical(cached.as_dict()) == self.canonical(fresh.as_dict())
         # The new writer's payload and checksum are the old writer's.
         old_record = json.loads(legacy.read_text())
         store.put(cell.key(), fresh, spec=cell)
         record = json.loads((store.root / f"{cell.key()}.json").read_text())
         assert record == old_record
+
+    @pytest.mark.parametrize("config, digest", [
+        ("CPC1A", "2af53858e454e2ad02dbf661054be21c0d8f59980ac50c5521d5668aef140ad6"),
+        ("Cdeep", "da452eba1759e79b6deaff884113ff8e79aa8cf2e4e01b386b10e75c29ebe293"),
+    ])
+    def test_experiment_record_text_is_pinned(self, tmp_path, config, digest):
+        # sha256 of the whole record file as the writer before the
+        # per-server record wrote it (memcached 4K, 3 ms after 1 ms).
+        cell = ExperimentSpec(
+            workload="memcached", qps=4000.0, preset="low", config=config,
+            seed=1, duration_ns=3 * MS, warmup_ns=1 * MS,
+        )
+        store = ResultStore(tmp_path / "cache")
+        store.put(cell.key(), run_cell(cell), spec=cell)
+        text = (store.root / f"{cell.key()}.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest
+
+    def test_fleet_record_of_schema_v3_verifies_and_loads(self, tmp_path):
+        # A 2-server CPC1A fleet (memcached 20K, 3 ms after 1 ms) as the
+        # v3 writer stored it: its servers lack most of the record.
+        legacy = DATA_DIR / "store_record_fleet_v3.json"
+        written = json.loads(legacy.read_text())
+        store = ResultStore(tmp_path / "cache")
+        shutil.copy(legacy, store.root / f"{written['key']}.json")
+        report = store.verify(quarantine=False)
+        assert (report["ok"], report["legacy"], report["corrupt"]) == (1, 0, [])
+        loaded = store.get(written["key"])
+        assert store.hits == 1
+        # What v3 stored reads back unchanged...
+        payload = json.loads(json.dumps(loaded.as_dict()))
+        stored_servers = written["result"].pop("servers")
+        servers = payload.pop("servers")
+        assert payload == written["result"]
+        assert [
+            {name: server[name] for name in stored}
+            for server, stored in zip(servers, stored_servers)
+        ] == stored_servers
+        # ...and the per-server fields v3 lacked take their defaults.
+        added = [f for f in fields(ServerRecord) if f.name not in stored_servers[0]]
+        assert [f.name for f in added] == [
+            "core_residency", "all_idle_fraction", "socwatch", "idle_histogram",
+            "pc1a_entries", "pc1a_exits", "pc1a_mean_exit_ns", "pc1a_max_exit_ns",
+            "pc6_entries", "pc6_exits", "core_wakes", "active_after_idle_mean",
+            "active_after_idle_dist",
+        ]
+        for server in loaded.servers:
+            for f in added:
+                default = f.default_factory() if f.default is MISSING else f.default
+                assert getattr(server, f.name) == default, f.name
 
     def test_fleet_record_reads_back_unchanged(self, tmp_path):
         cell = pinned_cells()["fleet_hybrid"]
@@ -389,7 +436,7 @@ class TestResultStore:
 
     def test_serialization_restores_int_histogram_keys(self):
         result = _synthetic_result(seed=1, power=30.0)
-        round_tripped = result_from_dict(result_to_dict(result))
+        round_tripped = ExperimentResult.from_dict(result.as_dict())
         assert round_tripped == result
         assert all(isinstance(k, int) for k in round_tripped.active_after_idle_dist)
 

@@ -31,7 +31,6 @@ from repro.sweep import (
     SweepSession,
     SweepSpec,
     WorkloadPoint,
-    result_to_dict,
 )
 from repro.sweep import chaos
 from repro.sweep.journal import JOURNAL_SCHEMA, JournalError, RunJournal
@@ -418,7 +417,7 @@ class TestStoreRobustness:
         path.write_text(json.dumps(record))
         loaded = store.get(spec.key())
         assert loaded is not None
-        assert result_to_dict(loaded) == result_to_dict(result)
+        assert loaded.as_dict() == result.as_dict()
 
     def test_verify_reports_and_quarantines(self, tmp_path):
         store, spec, _result = self.put_one(tmp_path, seed=1)
@@ -456,7 +455,7 @@ class TestStoreRobustness:
         monkeypatch.delenv(chaos.ENV_VAR)
         store.put(spec.key(), result, spec=spec)
         loaded = store.get(spec.key())
-        assert result_to_dict(loaded) == result_to_dict(result)
+        assert loaded.as_dict() == result.as_dict()
 
     def test_checksum_is_canonical(self):
         assert _checksum({"a": 1, "b": 2}) == _checksum({"b": 2, "a": 1})
@@ -492,8 +491,8 @@ class TestChaosSweepIdentity:
             chaotic = session.run(spec)
             stats = session.last_run_stats
         assert chaotic.quarantined == []
-        assert [result_to_dict(r) for r in chaotic.results] == [
-            result_to_dict(r) for r in clean.results
+        assert [r.as_dict() for r in chaotic.results] == [
+            r.as_dict() for r in clean.results
         ]
         faults = stats["worker_deaths"] + stats["retries"] + stats["requeues"]
         assert faults > 0, f"chaos injected nothing: {stats}"
@@ -522,7 +521,7 @@ def run_outcome(workers, policy):
     counters = {k: stats[k] for k in ("retries", "requeues", "quarantined")}
     return (
         [cell.key() for cell in results.cells],
-        [result_to_dict(result) for result in results.results],
+        [result.as_dict() for result in results.results],
         quarantined,
         counters,
     )

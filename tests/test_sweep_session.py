@@ -32,17 +32,16 @@ from repro.sweep import (
     SweepSession,
     SweepSpec,
     WorkloadPoint,
-    result_to_dict,
 )
 from repro.sweep.session import _cell_task, clear_warm_machines
-from repro.sweep.store import _canonical, _encode_result
+from repro.sweep.store import _canonical
 from repro.sweep.supervisor import CellPolicy
 from repro.units import MS
 
 
 def result_blob(result) -> str:
     """Canonical byte-level rendering of a result (kernel included)."""
-    return json.dumps(result_to_dict(result), sort_keys=True)
+    return json.dumps(result.as_dict(), sort_keys=True)
 
 
 def scenario_point(name: str) -> tuple[float, str]:
@@ -304,7 +303,7 @@ class TestRecordPayload:
                 seed=1, duration_ns=3 * MS, warmup_ns=1 * MS,
             )
             result = run_cell(cell)
-            kind, payload = _encode_result(result)
+            kind, payload = result.result_kind, result.as_dict()
             plain = dataclasses.asdict(result)
             assert kind == "experiment"
             assert payload == plain, name
