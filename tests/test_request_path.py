@@ -25,8 +25,9 @@ from repro.fleet import (
 )
 from repro.fleet.routing import POLICY_FUNCTIONS
 from repro.fleet.state import FleetState
+from repro.props import apply_props
 from repro.scenarios import build
-from repro.server.configs import config_by_name, cpc1a
+from repro.server.configs import cpc1a
 from repro.server.machine import ServerMachine
 from repro.sim.engine import RNG_BLOCK, Simulator
 from repro.soc.cpu import CoreError, Job
@@ -136,9 +137,14 @@ class TestRandbelowBlocks:
         assert machine.sim._block_state == {} and machine.sim._block == []
 
 
-def _event_digest(config: str, workload, until_ns: int) -> tuple[int, str, int]:
-    """(events, digest of every dispatched (time, seq), completions)."""
-    machine = ServerMachine(config_by_name(config), seed=7)
+def _event_digest(
+    config: str, workload, until_ns: int, props: tuple = ()
+) -> tuple[int, str, int]:
+    """(events, digest of every dispatched (time, seq), completions).
+
+    ``props`` are property overrides on top of the ``config`` preset.
+    """
+    machine = ServerMachine(apply_props(config, dict(props)), seed=7)
     workload.start(machine.sim, machine)
     sim = machine.sim
     digest = hashlib.sha256()
@@ -168,6 +174,18 @@ _STREAM_PINS = [
     ("Cdeep", "memcached", 4_000, "low", 20, (1659, "23e66bb523e8a6bc", 108)),
 ]
 
+#: (config, property overrides, qps, window in ms, (events, digest,
+#: completions)) of memcached ``low``: a P-state-scaled service time,
+#: and OS tick work on every core or on busy cores only.
+_PROPS_PINS = [
+    ("CPC1A", (("pstate.nominal", "P2"),), 40_000, 4, (1510, "906cf1d143981128", 182)),
+    ("Cshallow", (("timer_tick_hz", 250),), 4_000, 20, (816, "7bb5a99436e0fa35", 109)),
+    (
+        "CPC1A", (("tick_mode", "nohz_idle"), ("timer_tick_hz", 250)), 4_000, 20,
+        (2853, "089181d1b9c20245", 109),
+    ),
+]
+
 
 class TestArrivalDriver:
     """Streams and the PC6 flow fire at the times, with the seqs, that
@@ -185,6 +203,20 @@ class TestArrivalDriver:
     def test_event_stream_pinned(self, config, name, qps, preset, window_ms, expected):
         workload = build(name, qps, preset)
         assert _event_digest(config, workload, window_ms * MS) == expected
+
+    @pytest.mark.parametrize(
+        ("config", "props", "qps", "window_ms", "expected"),
+        _PROPS_PINS,
+        ids=[
+            "+".join([c, *(f"{k}={v}" for k, v in props)]) + f"-{q}"
+            for c, props, q, _, _ in _PROPS_PINS
+        ],
+    )
+    def test_event_stream_pinned_with_props(
+        self, config, props, qps, window_ms, expected
+    ):
+        workload = build("memcached", qps, "low")
+        assert _event_digest(config, workload, window_ms * MS, props) == expected
 
     @pytest.mark.parametrize(
         ("config", "expected"),
