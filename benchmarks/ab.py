@@ -2,7 +2,7 @@
 
 ::
 
-    python3 benchmarks/ab.py REF [--pairs 10] [--seconds 30] [--seed 900]
+    python3 benchmarks/ab.py REF [--pairs 10] [--seconds 30] [--seed 900] [--count]
 
 ``git archive REF`` goes into a temporary directory, and this checkout's
 ``perfbench/`` and ``BENCHMARK.json`` are copied over it, so both sides
@@ -14,7 +14,12 @@ own tree root: the parent first in even pairs, the change first in odd
 ones. Both trees' ``src/`` are byte-compiled before the first pair
 (:func:`compile_sources`). Each end-to-end metric of each workload gets
 one verdict from :func:`judge`, by the metric's ``better`` and
-``bound``.
+``bound``. With ``--count``, this checkout's ``benchmarks/opcount.py``
+then counts one seed-0 pass of every workload in each tree, and
+:func:`report_work` prints the opcodes, Python calls and C calls,
+parent → change: an exact work diff that the timing noise of a shared
+host does not blur. The counts depend on the Python version, so they
+inform and never change the exit code.
 
 Exit code 1 on a ``regression``, on a change run that is not correct,
 or when the change fails a larger share of operations than the parent;
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import shutil
 import signal
 import statistics
@@ -131,6 +137,49 @@ def report(workload: str, metrics: list[dict], runs: dict[str, list[dict]]) -> i
     return status
 
 
+#: opcount.py's JSON keys and their labels, in the order printed.
+WORK_COUNTS = (("opcodes", "opcodes"), ("py_calls", "Python calls"),
+               ("c_calls", "C calls"))
+
+
+def run_opcount(root: Path, workload: str) -> dict | None:
+    """``benchmarks/opcount.py`` on one workload from ``root``: its JSON line."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/opcount.py", "--workload", workload],
+        cwd=root, capture_output=True, text=True,
+    )
+    try:
+        return json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        return None
+
+
+def report_work(
+    workloads: list[str], roots: dict[str, Path], count=run_opcount
+) -> None:
+    """Print the work of one seed-0 pass per workload, parent → change.
+
+    ``count(root, workload)`` returns opcount.py's JSON line, or None
+    when the count failed; a failed count is reported and skipped. Both
+    trees are counted by this interpreter.
+    """
+    print(f"\nwork of one seed-0 pass (benchmarks/opcount.py, Python "
+          f"{platform.python_version()}), parent → change:")
+    print(f"  {'workload':<18} {'count':<13} {'parent':>14} {'change':>14} "
+          f"{'change %':>9}")
+    for workload in workloads:
+        parent, change = (count(roots[side], workload) for side in ("parent", "change"))
+        if parent is None or change is None:
+            print(f"  {workload:<18} count failed")
+            continue
+        for key, label in WORK_COUNTS:
+            before, after = parent[key], change[key]
+            delta = f"{100 * (after - before) / before:+.2f}" if before else "n/a"
+            print(f"  {workload:<18} {label:<13} {before:>14,} {after:>14,} "
+                  f"{delta:>9}")
+
+
 def compile_sources(root: Path) -> None:
     """Byte-compile ``root/src``, so that no run compiles ``repro`` on import.
 
@@ -181,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="seconds per benchmark run")
     parser.add_argument("--seed", type=int, default=900,
                         help="workload seed of the first pair")
+    parser.add_argument("--count", action="store_true",
+                        help="then print each tree's opcodes and calls per "
+                             "workload (opcount.py; never changes the exit code)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (the parent needs quartiles)")
@@ -198,12 +250,20 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / "perfbench", parent_root / "perfbench",
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "BENCHMARK.json", parent_root / "BENCHMARK.json")
+        if args.count:
+            (parent_root / "benchmarks").mkdir(exist_ok=True)
+            shutil.copy2(ROOT / "benchmarks" / "opcount.py",
+                         parent_root / "benchmarks" / "opcount.py")
         for root in (parent_root, ROOT):
             compile_sources(root)
         print(f"A/B: {args.ref} (parent) against the working tree, "
               f"{args.pairs} pairs of {args.seconds:g} s from seed {args.seed}",
               flush=True)
-        return compare(benchmark, parent_root, args)
+        status = compare(benchmark, parent_root, args)
+        if args.count:
+            report_work([entry["name"] for entry in benchmark["workloads"]],
+                        {"parent": parent_root, "change": ROOT})
+        return status
 
 
 if __name__ == "__main__":

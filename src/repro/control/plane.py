@@ -76,17 +76,18 @@ class ControlPlane:
         self.cores_per_server = len(machines[0].cores)
         self.core_spec = machines[0].budget.core
         self.pstate_table = machines[0].pstates
-        #: Balancer hop + one-way network time added on top of server
-        #: latency when the grid search budgets against the SLO.
-        self.overhead_ns = (
-            machines[0].config.network_latency_ns
-            + fleet.cluster.dispatch_latency_ns
-        )
         #: Per-server one-way network latency, taken once: every
         #: completion adds it to the server latency.
         self.network_latency_ns = [
             machine.config.network_latency_ns for machine in machines
         ]
+        #: Balancer hop + one-way network time added on top of server
+        #: latency when the grid search budgets against the SLO. The
+        #: pooled p99 spans every server, so the budget takes the
+        #: largest network latency (the conservative one, in any order).
+        self.overhead_ns = (
+            max(self.network_latency_ns) + fleet.cluster.dispatch_latency_ns
+        )
         n = self.n_servers
         self.phase = np.zeros(n, dtype=np.int8)
         self.phase_since = np.zeros(n, dtype=np.int64)

@@ -105,6 +105,8 @@ class Fivr:
         self.nominal_v = nominal_v
         self.slew_v_per_ns = slew_v_per_ns
         self.rvid = voltage_to_vid(retention_v)
+        #: The decoded RVID retention level in volts.
+        self.retention_v = vid_to_voltage(self.rvid)
         self.on_voltage_change = on_voltage_change
         self._voltage = nominal_v
         self._target = nominal_v
@@ -119,11 +121,6 @@ class Fivr:
         self.ramp_count = 0
 
     # -- observable state --------------------------------------------------
-    @property
-    def retention_v(self) -> float:
-        """The decoded RVID retention level in volts."""
-        return vid_to_voltage(self.rvid)
-
     @property
     def target_v(self) -> float:
         """The commanded output level."""

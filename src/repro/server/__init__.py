@@ -25,7 +25,6 @@ from repro.server.configs import (
 from repro.server.machine import ServerMachine
 from repro.server.stats import LatencyRecorder, LatencySummary
 from repro.server.dispatch import Dispatcher
-from repro.server.nic import Nic
 from repro.server.experiment import ExperimentResult, run_experiment
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "LatencyRecorder",
     "LatencySummary",
     "Dispatcher",
-    "Nic",
     "ExperimentResult",
     "run_experiment",
 ]

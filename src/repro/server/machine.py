@@ -23,13 +23,12 @@ from repro.power.meter import PowerMeter
 from repro.power.rapl import RaplInterface
 from repro.server.configs import MachineConfig
 from repro.server.dispatch import Dispatcher
-from repro.server.nic import Nic
 from repro.server.recycle import CheckpointError, MachineCheckpoint
 from repro.server.stats import LatencyRecorder, MachineStats
 from repro.server.ticks import OsTimerTicks
 from repro.sim.engine import Simulator
 from repro.soc.clm import ClmDomain
-from repro.soc.cpu import Core, Job
+from repro.soc.cpu import Core
 from repro.soc.cstates import cstate_by_name
 from repro.soc.governors import governor_for
 from repro.soc.gpmu import Gpmu
@@ -197,7 +196,6 @@ class ServerMachine:
             self.ticks.start()
         # Request path.
         self.dispatcher = Dispatcher(self.sim, self.cores, config.dispatch_policy)
-        self.nic = Nic(self.sim, self.links[0], self._dispatch)
         self.latency = LatencyRecorder()
         self._next_mc = 0
         self.requests_completed = 0
@@ -265,10 +263,17 @@ class ServerMachine:
 
     # -- request path ------------------------------------------------------
     def inject(self, request: Request) -> None:
-        """A request arrives from the network (workload entry point)."""
+        """A request arrives from the network (workload entry point).
+
+        The NIC sits on ``links[0]`` (``pcie0``): the inbound DMA is a
+        transfer on that link, whose latency includes any L0s/L1 wake,
+        which is how IO traffic wakes the package out of PC1A or PC6
+        (the link's ``InL0s`` edge is the wake event). The delivery
+        dispatches the request to a core.
+        """
         if request.arrival_ns is None:
             request.arrival_ns = self.sim.now
-        self.nic.receive(request)
+        self.links[0].transfer(max(64, request.wire_bytes), self._dispatch, request)
 
     def _dispatch(self, request: Request) -> None:
         core = self.dispatcher.pick()
@@ -276,12 +281,10 @@ class ServerMachine:
         if self._pstate is not self._nominal_pstate:
             # At nominal the scaling is the identity; skip its rounding.
             service_ns = self.pstates.scaled_service_ns(service_ns, self._pstate)
-        job = Job(request, service_ns, on_complete=self._job_complete)
-        core.submit(job)
+        core.submit(service_ns, self._request_done, request)
 
-    def _job_complete(self, job: Job, now: int) -> None:
-        request: Request = job.payload
-        request.started_ns = job.started_ns
+    def _request_done(self, request: Request) -> None:
+        now = self.sim.now
         request.completed_ns = now
         # Charge the transaction's memory traffic (round-robin over
         # channels, as an address-interleaved system would).
@@ -295,7 +298,9 @@ class ServerMachine:
         if arrival_ns is None:
             raise ValueError("request has not completed")
         self.latency.record(now - arrival_ns)
-        self.nic.send_response(request)
+        # The response goes back out on the NIC's link; nothing waits
+        # on its delivery.
+        self.links[0].transfer(max(64, request.response_bytes))
         if self.on_request_complete is not None:
             self.on_request_complete(request)
 
@@ -365,8 +370,6 @@ class ServerMachine:
         self.idle_tracker.reset()
         self.active_sampler.reset()
         self.requests_completed = 0
-        self.nic.received = 0
-        self.nic.responses_sent = 0
         self.package.residency.reset()
         self.pstate_ns.clear()
         self._pstate_since = self.sim.now

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.timers import PeriodicTimer
-from repro.soc.cpu import Core, Job
+from repro.soc.cpu import Core
 from repro.units import S, US
 
 TICK_MODES = ("periodic", "nohz_idle")
@@ -169,6 +169,6 @@ class OsTimerTicks:
                 self.ticks_suppressed += 1
                 return
             self.ticks_delivered += 1
-            core.submit(Job("os-tick", self.tick_work_ns))
+            core.submit(self.tick_work_ns)
 
         return fire

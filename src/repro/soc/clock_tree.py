@@ -40,15 +40,12 @@ class ClockTree:
         self.name = name
         self.gate_cycles = gate_cycles
         self.cycle_ns = cycle_ns
+        #: Wall-clock latency of one gate/ungate operation.
+        self.gate_latency_ns = gate_cycles * cycle_ns
         self.clk_gate = Signal(f"{name}.ClkGate", value=False)
         self._gated = False
         self.gate_count = 0
         self.clk_gate.watch(self._on_gate_change)
-
-    @property
-    def gate_latency_ns(self) -> int:
-        """Wall-clock latency of one gate/ungate operation."""
-        return self.gate_cycles * self.cycle_ns
 
     @property
     def gated(self) -> bool:

@@ -1,10 +1,12 @@
 """CPU core model: execution, core C-states, and the PMA status export.
 
-Each core runs one request at a time from a private run queue (the
-server pins worker threads, Sec. 6 of the paper). When the queue
-drains, the idle governor picks a core C-state; the core then walks an
-explicit entering -> idle -> waking life cycle with the entry/exit
-latencies of :mod:`repro.soc.cstates`.
+Each core runs one piece of work at a time from a private run queue
+(the server pins worker threads, Sec. 6 of the paper): a service time
+in whole nanoseconds, with an optional completion callback and the
+payload it is called with. When the queue drains, the idle governor
+picks a core C-state; the core then walks an explicit entering ->
+idle -> waking life cycle with the entry/exit latencies of
+:mod:`repro.soc.cstates`.
 
 The core's power management agent (PMA, paper Sec. 5.3) exports two
 status wires consumed by package controllers: ``InCC1`` (asserted
@@ -32,26 +34,6 @@ from repro.units import whole_ns
 
 class CoreError(RuntimeError):
     """Raised on invalid core usage (e.g. negative service time)."""
-
-
-class Job:
-    """A unit of work bound for one core."""
-
-    __slots__ = ("payload", "service_ns", "submitted_ns", "started_ns", "on_complete")
-
-    def __init__(
-        self,
-        payload: Any,
-        service_ns: int,
-        on_complete: Callable[["Job", int], None] | None = None,
-    ):
-        if type(service_ns) is not int or service_ns < 1:
-            service_ns = whole_ns(service_ns, "service time", CoreError, minimum=1)
-        self.payload = payload
-        self.service_ns = service_ns
-        self.submitted_ns: int | None = None
-        self.started_ns: int | None = None
-        self.on_complete = on_complete
 
 
 class Core:
@@ -86,7 +68,8 @@ class Core:
         self.governor = governor
         self.channel = channel
         self.package = package
-        self.queue: deque[Job] = deque()
+        #: Queued work: (service_ns, on_done, payload) in FIFO order.
+        self.queue: deque[tuple[int, Callable[[Any], None] | None, Any]] = deque()
         #: C-state residency; its ``enter`` also sets the idle draw.
         self.residency = ResidencyCounter(sim, CC0.name, channel)
         self.in_cc1 = Signal(f"core{index}.InCC1", value=False)
@@ -139,12 +122,24 @@ class Core:
             self.channel.set_power(spec.watts[self._cstate.name])
 
     # -- work submission -----------------------------------------------------
-    def submit(self, job: Job) -> None:
-        """Queue a job; wakes the core if it is idle."""
-        job.submitted_ns = self.sim.now
-        self.queue.append(job)
+    def submit(
+        self,
+        service_ns: int,
+        on_done: Callable[[Any], None] | None = None,
+        payload: Any = None,
+    ) -> None:
+        """Queue ``service_ns`` of work; wakes the core if it is idle.
+
+        The service time must be whole, positive nanoseconds: a
+        fractional or sub-1-ns one raises :class:`CoreError` instead of
+        being truncated. ``on_done(payload)`` runs when the work
+        completes.
+        """
+        if type(service_ns) is not int or service_ns < 1:
+            service_ns = whole_ns(service_ns, "service time", CoreError, minimum=1)
+        self.queue.append((service_ns, on_done, payload))
         if self._mode == "active":
-            return  # will be picked up when the current job completes
+            return  # will be picked up when the current work completes
         if self._mode == "waking":
             return  # wake already in flight
         if self._mode == "entering":
@@ -215,15 +210,16 @@ class Core:
         if not self.queue:
             self._maybe_go_idle()
             return
-        job = self.queue.popleft()
-        job.started_ns = self.sim.now
-        self._run_event = self.sim.schedule(job.service_ns, self._job_done, job)
+        service_ns, on_done, payload = self.queue.popleft()
+        self._run_event = self.sim.schedule(
+            service_ns, self._job_done, on_done, payload
+        )
 
-    def _job_done(self, job: Job) -> None:
+    def _job_done(self, on_done: Callable[[Any], None] | None, payload: Any) -> None:
         self._run_event = None
         self.jobs_completed += 1
-        if job.on_complete is not None:
-            job.on_complete(job, self.sim.now)
+        if on_done is not None:
+            on_done(payload)
         self._start_next()
 
 

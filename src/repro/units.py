@@ -46,8 +46,9 @@ def whole_ns(
     Truncating a fraction would change the model behind its back
     (``int(0.5)`` is a zero-length job), so times and durations must
     arrive whole: round in the model, not in the kernel. The one check
-    behind ``Simulator.schedule``, the timers, ``Request`` and ``Job``;
-    callers keep a ``type(x) is int`` fast path in front of it.
+    behind ``Simulator.schedule``, the timers, ``Request`` and
+    ``Core.submit``; callers keep a ``type(x) is int`` fast path in
+    front of it.
     """
     try:
         as_int = int(value)

@@ -37,8 +37,6 @@ class Request:
         "response_bytes",
         "dram_bytes",
         "arrival_ns",
-        "dispatched_ns",
-        "started_ns",
         "completed_ns",
     )
 
@@ -59,8 +57,6 @@ class Request:
         self.response_bytes = int(response_bytes)
         self.dram_bytes = int(dram_bytes)
         self.arrival_ns: int | None = None
-        self.dispatched_ns: int | None = None
-        self.started_ns: int | None = None
         self.completed_ns: int | None = None
 
     @property

@@ -1,5 +1,5 @@
 """The A/B harness (``benchmarks/ab.py``): its verdict rule, on synthetic
-pairs, and its byte-compile step."""
+pairs, its byte-compile step and its work table."""
 
 from __future__ import annotations
 
@@ -90,3 +90,34 @@ class TestCompileSources:
         module.write_text("VALUE = 1\n")
         ab.compile_sources(tmp_path)
         assert len(list((module.parent / "__pycache__").glob("mod.*.pyc"))) == 1
+
+
+class TestWorkReport:
+    def test_prints_each_count_parent_to_change(self, capsys):
+        roots = {"parent": Path("parent-tree"), "change": Path("change-tree")}
+        counts = {
+            ("parent-tree", "server_apc"):
+                {"opcodes": 1_000_000, "py_calls": 40_000, "c_calls": 8_000},
+            ("change-tree", "server_apc"):
+                {"opcodes": 950_000, "py_calls": 36_000, "c_calls": 8_000},
+            ("parent-tree", "fleet_diurnal"): None,  # a count that failed
+            ("change-tree", "fleet_diurnal"):
+                {"opcodes": 1, "py_calls": 1, "c_calls": 1},
+        }
+        calls = []
+
+        def count(root, workload):
+            calls.append((root, workload))
+            return counts[(str(root), workload)]
+
+        assert ab.report_work(["server_apc", "fleet_diurnal"], roots, count) is None
+        assert calls == [
+            (roots["parent"], "server_apc"), (roots["change"], "server_apc"),
+            (roots["parent"], "fleet_diurnal"), (roots["change"], "fleet_diurnal"),
+        ]
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["server_apc", "opcodes", "1,000,000", "950,000", "-5.00"] in rows
+        assert ["server_apc", "Python", "calls", "40,000", "36,000", "-10.00"] in rows
+        assert ["server_apc", "C", "calls", "8,000", "8,000", "+0.00"] in rows
+        assert ["fleet_diurnal", "count", "failed"] in rows
+        assert not any(row[:1] == ["fleet_diurnal"] and len(row) > 3 for row in rows)

@@ -326,6 +326,19 @@ class HandsOff:
         pass
 
 
+class TestSloBudget:
+    @pytest.mark.parametrize("latencies", [(0, 500_000), (500_000, 0)])
+    def test_overhead_takes_the_largest_network_latency(self, latencies):
+        # The pooled p99 holds the slowest server's requests too: the
+        # budget is the same conservative one in either server order.
+        cluster = controlled_cluster(
+            control="sleepscale",
+            server_props=tuple({"network_latency_ns": ns} for ns in latencies),
+        )
+        plane = FleetMachine(cluster, seed=1).control
+        assert plane.overhead_ns == 500_000 + cluster.dispatch_latency_ns == 502_000
+
+
 class TestLifecycle:
     def test_static_builds_no_plane(self):
         fleet = FleetMachine(ClusterConfig("CPC1A", 2), seed=1)

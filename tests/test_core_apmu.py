@@ -10,7 +10,6 @@ the Sec. 5.5 analytical model exactly.
 import pytest
 
 from repro.core.latency import Pc1aLatencyModel
-from repro.soc.cpu import Job
 from repro.soc.package import PackageCState
 from repro.units import MS, US
 
@@ -31,7 +30,7 @@ class TestPc1aEntry:
         settle(machine)
         # Wake one core with a long job: the package must leave PC1A
         # and not re-enter while the core is busy.
-        machine.cores[0].submit(Job("work", 500 * US))
+        machine.cores[0].submit(500 * US)
         settle(machine, 100 * US)
         assert machine.apmu.phase == "pc0"
         assert not machine.apmu.in_pc1a.value
@@ -47,7 +46,7 @@ class TestPc1aEntry:
         machine = apc_machine
         settle(machine)
         assert machine.iosm.allow_l0s.value
-        machine.cores[3].submit(Job("work", 300 * US))
+        machine.cores[3].submit(300 * US)
         settle(machine, 50 * US)
         assert not machine.iosm.allow_l0s.value
         for link in machine.links:
@@ -129,7 +128,7 @@ class TestPc1aExit:
     def test_core_interrupt_routes_to_pc0(self, apc_machine):
         machine = apc_machine
         settle(machine)
-        machine.cores[0].submit(Job("req", 10 * US))
+        machine.cores[0].submit(10 * US)
         settle(machine, 100 * US)
         # After the job the core re-idles and the machine goes back
         # to PC1A, but the exit path must have passed through PC0.
@@ -139,7 +138,7 @@ class TestPc1aExit:
     def test_wake_during_entry_is_honoured_after_entry(self, apc_machine):
         machine = apc_machine
         settle(machine)  # first PC1A visit
-        machine.cores[0].submit(Job("req", 10 * US))
+        machine.cores[0].submit(10 * US)
         settle(machine, 200 * US)  # back to PC1A eventually
         assert machine.apmu.phase == "pc1a"
         # Now wake exactly during a fresh entry window: force an exit
@@ -147,7 +146,7 @@ class TestPc1aExit:
         machine.apmu.gpmu_wakeup.set(True)  # exit
         sim = machine.sim
         sim.run(until_ns=sim.now + 300)  # in ACC1/entering again soon
-        machine.cores[1].submit(Job("req2", 10 * US))
+        machine.cores[1].submit(10 * US)
         settle(machine, 300 * US)
         assert machine.apmu.phase == "pc1a"  # recovered regardless
 
@@ -157,14 +156,14 @@ class TestPc1aExit:
         assert not machine.apmu.memory_path_open
         # A real core wake (not a spurious one) opens the path and
         # keeps it open while the core executes.
-        machine.cores[0].submit(Job("req", 50 * US))
+        machine.cores[0].submit(50 * US)
         machine.sim.run(until_ns=machine.sim.now + 10 * US)
         assert machine.apmu.memory_path_open
 
     def test_mcs_active_after_exit(self, apc_machine):
         machine = apc_machine
         settle(machine)
-        machine.cores[0].submit(Job("req", 10 * US))
+        machine.cores[0].submit(10 * US)
         machine.sim.run(until_ns=machine.sim.now + 5 * US)
         for mc in machine.memory_controllers:
             assert mc.state == "active"

@@ -6,7 +6,6 @@ from _machines import build_machine
 from repro.cli import main as cli_main
 from repro.server.experiment import run_experiment
 from repro.server.configs import cdeep, cpc1a
-from repro.soc.cpu import Job
 from repro.soc.package import PackageCState
 from repro.units import MS, US
 from repro.workloads.base import NullWorkload, Workload
@@ -28,7 +27,7 @@ class TestGpmuPc2Abort:
                 caught = True
                 break
         assert caught, "PC2 drain window never observed"
-        machine.cores[0].submit(Job("wake", 5 * US))
+        machine.cores[0].submit(5 * US)
         machine.sim.run(until_ns=machine.sim.now + 200 * US)
         # The abort path must not have powered anything down.
         assert machine.gpmu.pc6_entries == 0

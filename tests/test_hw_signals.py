@@ -1,10 +1,12 @@
-"""Tests for signal wires, AND trees and the timed FSM base."""
+"""Tests for signal wires, AND trees and the LTSSM's timed transitions."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hw import AndTree, FsmError, Signal, SignalError, TimedFsm
+from repro.hw import AndTree, Signal, SignalError
+from repro.iolink.lstates import PCIE_TIMINGS
+from repro.iolink.ltssm import Ltssm, LtssmError
 
 
 class TestSignal:
@@ -192,95 +194,84 @@ class TestAndTree:
         assert edges == expected
 
 
-class _TrafficLight(TimedFsm):
-    STATES = ("Red", "Green", "Yellow")
-
-    def __init__(self, sim, on_transition=None):
-        super().__init__(sim, "light", "Red", on_transition)
-        self.entered = []
-
-    def on_enter_green(self):
-        self.entered.append(("green", self.sim.now))
-
-    def on_exit_red(self):
-        self.entered.append(("left-red", self.sim.now))
+def _ltssm(sim, on_transition=None, start_in_l0=True):
+    return Ltssm(
+        sim, "pcie0.ltssm", PCIE_TIMINGS,
+        start_in_l0=start_in_l0, on_transition=on_transition,
+    )
 
 
 class TestTimedFsm:
+    """The LTSSM's timed transitions: immediate or delayed, preempted by
+    a later ``goto``, cancelled, and reported after the entry action."""
+
     def test_immediate_transition(self, sim):
-        fsm = _TrafficLight(sim)
-        fsm.goto("Green")
-        assert fsm.state == "Green"
+        ltssm = _ltssm(sim)
+        ltssm.goto("L0s")
+        assert ltssm.state == "L0s"
 
     def test_delayed_transition(self, sim):
-        fsm = _TrafficLight(sim)
-        fsm.goto("Green", after_ns=100)
-        assert fsm.state == "Red"
+        ltssm = _ltssm(sim)
+        ltssm.goto("L0s", after_ns=100)
+        assert ltssm.state == "L0"
         sim.run()
-        assert fsm.state == "Green"
+        assert ltssm.state == "L0s"
         assert sim.now == 100
 
-    def test_enter_exit_hooks_run(self, sim):
-        fsm = _TrafficLight(sim)
-        fsm.goto("Green")
-        assert ("left-red", 0) in fsm.entered
-        assert ("green", 0) in fsm.entered
+    def test_on_transition_runs_after_the_entry_action(self, sim):
+        # Each training state schedules the next on entry; the listener
+        # already sees that pending transition.
+        log = []
+        ltssm = _ltssm(
+            sim, lambda state: log.append((state, ltssm.pending_target)),
+            start_in_l0=False,
+        )
+        sim.run()
+        assert log == [("Polling", "Configuration"), ("Configuration", "L0"),
+                       ("L0", None)]
 
     def test_latest_goto_wins(self, sim):
-        fsm = _TrafficLight(sim)
-        fsm.goto("Green", after_ns=100)
-        fsm.goto("Yellow", after_ns=10)
+        ltssm = _ltssm(sim)
+        ltssm.goto("L0s", after_ns=100)
+        ltssm.goto("L0p", after_ns=10)
         sim.run()
-        assert fsm.state == "Yellow"
+        assert ltssm.state == "L0p"
+        assert sim.now == 10
 
     def test_unknown_state_rejected(self, sim):
-        fsm = _TrafficLight(sim)
-        with pytest.raises(FsmError):
-            fsm.goto("Blue")
-
-    def test_unknown_initial_rejected(self, sim):
-        class Bad(TimedFsm):
-            STATES = ("A",)
-
-        with pytest.raises(FsmError):
-            Bad(sim, "bad", "B")
+        ltssm = _ltssm(sim)
+        with pytest.raises(LtssmError):
+            ltssm.goto("Blue")
 
     def test_log_records_transitions(self, sim):
-        # The FSM keeps no log of its own; on_transition is the hook.
+        # The LTSSM keeps no log of its own; on_transition is the hook.
         log = []
-        fsm = _TrafficLight(sim, lambda state: log.append((sim.now, state)))
-        fsm.goto("Green")
-        fsm.goto("Yellow", after_ns=10)
+        ltssm = _ltssm(sim, lambda state: log.append((sim.now, state)))
+        ltssm.goto("L0s")
+        ltssm.goto("L0", after_ns=10)
         sim.run()
-        assert log == [(0, "Green"), (10, "Yellow")]
-        assert not hasattr(fsm, "log")
+        assert log == [(0, "L0s"), (10, "L0")]
+        assert not hasattr(ltssm, "log")
 
     def test_pending_target_visible(self, sim):
-        fsm = _TrafficLight(sim)
-        fsm.goto("Green", after_ns=50)
-        assert fsm.pending_target == "Green"
+        ltssm = _ltssm(sim)
+        ltssm.goto("L0s", after_ns=50)
+        assert ltssm.pending_target == "L0s"
         sim.run()
-        assert fsm.pending_target is None
+        assert ltssm.pending_target is None
 
     def test_cancel_pending_aborts(self, sim):
-        fsm = _TrafficLight(sim)
-        fsm.goto("Green", after_ns=50)
-        fsm.cancel_pending()
+        ltssm = _ltssm(sim)
+        ltssm.goto("L0s", after_ns=50)
+        ltssm.cancel_pending()
         sim.run()
-        assert fsm.state == "Red"
-
-    def test_time_in_state(self, sim):
-        fsm = _TrafficLight(sim)
-        sim.schedule(30, fsm.goto, "Green")
-        sim.run()
-        sim.schedule(70, lambda: None)
-        sim.run()
-        assert fsm.time_in_state() == 70
+        assert ltssm.state == "L0"
+        assert ltssm.pending_target is None
 
     def test_self_transition_is_noop(self, sim):
         log = []
-        fsm = _TrafficLight(sim, log.append)
-        sim.schedule(5, fsm.goto, "Red")
+        ltssm = _ltssm(sim, log.append)
+        sim.schedule(5, ltssm.goto, "L0")
         sim.run()
         assert log == []
-        assert fsm.state_entered_at == 0
+        assert ltssm.state == "L0"

@@ -256,6 +256,8 @@ class TestFivrValidation:
         fivr = Fivr(sim, "clm", retention_v=0.5)
         assert 0 <= fivr.rvid <= 255
         assert fivr.retention_v == pytest.approx(0.5)
+        # Decoded once, when the FIVR is built: the register's value.
+        assert fivr.retention_v == vid_to_voltage(fivr.rvid)
 
 
 class TestMbvr:

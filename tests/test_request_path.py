@@ -30,7 +30,7 @@ from repro.scenarios import build
 from repro.server.configs import cpc1a
 from repro.server.machine import ServerMachine
 from repro.sim.engine import RNG_BLOCK, Simulator
-from repro.soc.cpu import CoreError, Job
+from repro.soc.cpu import CoreError
 from repro.units import MS
 from repro.workloads.base import Request
 from repro.workloads.upi_traffic import CompositeWorkload, UpiSnoopTraffic
@@ -441,13 +441,18 @@ class TestServiceTimesAreWhole:
 
     @pytest.mark.parametrize("bad", (0.5, 7.25, 0, -1))
     def test_job_rejects(self, bad):
+        core = ServerMachine(cpc1a(), seed=1).cores[0]
         with pytest.raises(CoreError, match="service time"):
-            Job("payload", bad)
+            core.submit(bad)
+        assert not core.queue
 
     @pytest.mark.parametrize("good", (1, 2.0, np.int64(9), np.float64(30.0)))
     def test_whole_values_pass_as_int(self, good):
         request = Request("get", service_ns=good)
         assert request.service_ns == int(good)
         assert type(request.service_ns) is int
-        job = Job(request, good)
-        assert job.service_ns == int(good) and type(job.service_ns) is int
+        core = ServerMachine(cpc1a(), seed=1).cores[0]
+        core.submit(good, None, request)
+        ((service_ns, _, payload),) = core.queue
+        assert service_ns == int(good) and type(service_ns) is int
+        assert payload is request

@@ -69,9 +69,7 @@ class TestDispatcher:
         machine = shallow_machine
         machine.sim.run(until_ns=10 * US)
         dispatcher = Dispatcher(machine.sim, machine.cores, "least_loaded")
-        from repro.soc.cpu import Job
-
-        machine.cores[0].submit(Job("busy", 1 * MS))
+        machine.cores[0].submit(1 * MS)
         machine.sim.run(until_ns=machine.sim.now + 10 * US)
         picks = {dispatcher.pick().index for _ in range(10)}
         assert 0 not in picks
@@ -80,12 +78,10 @@ class TestDispatcher:
         machine = shallow_machine
         machine.sim.run(until_ns=10 * US)
         dispatcher = Dispatcher(machine.sim, machine.cores, "packed")
-        from repro.soc.cpu import Job
-
         assert dispatcher.pick().index == 0
         # Fill core 0 to the watermark; dispatch must spill to core 1.
         for _ in range(Dispatcher.PACK_WATERMARK):
-            machine.cores[0].submit(Job("busy", 1 * MS))
+            machine.cores[0].submit(1 * MS)
         machine.sim.run(until_ns=machine.sim.now + 10 * US)
         assert dispatcher.pick().index == 1
 
@@ -204,7 +200,8 @@ class TestMachineAssembly:
         assert request.completed_ns is not None
         assert machine.requests_completed == 1
         assert machine.latency.count == 1
-        assert machine.nic.responses_sent == 1
+        # The NIC's link carried the request in and the response out.
+        assert machine.links[0].transfers == 2
 
     def test_completion_without_arrival_time_raises(self, shallow_machine):
         # Dispatched straight to a core, past the NIC that stamps the

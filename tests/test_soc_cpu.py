@@ -4,7 +4,7 @@ import pytest
 
 from repro.power.budgets import CorePowerSpec
 from repro.power.meter import PowerMeter
-from repro.soc.cpu import Core, CoreError, Job
+from repro.soc.cpu import Core, CoreError
 from repro.soc.cstates import CC1, CC1E, CC6
 from repro.soc.governors import (
     GovernorError,
@@ -62,8 +62,7 @@ class TestCoreExecution:
         core, _ = make_core(sim)
         sim.run(until_ns=10 * US)  # settle into CC1
         done = []
-        job = Job("req", 5 * US, on_complete=lambda j, t: done.append(t))
-        core.submit(job)
+        core.submit(5 * US, lambda _: done.append(sim.now))
         sim.run()
         # Wake (CC1 exit 2 us) + service 5 us from submission at 10 us.
         assert done == [10 * US + CC1.exit_ns + 5 * US]
@@ -73,19 +72,17 @@ class TestCoreExecution:
         sim.run(until_ns=10 * US)
         order = []
         for tag in ("a", "b", "c"):
-            core.submit(
-                Job(tag, 1 * US, on_complete=lambda j, t: order.append(j.payload))
-            )
+            core.submit(1 * US, order.append, tag)
         sim.run()
         assert order == ["a", "b", "c"]
 
     def test_busy_core_accepts_work_without_wake(self, sim):
         core, _ = make_core(sim)
         sim.run(until_ns=10 * US)
-        core.submit(Job("first", 5 * US))
+        core.submit(5 * US)
         sim.run(until_ns=11 * US)
         wakes_before = core.wake_count
-        core.submit(Job("second", 1 * US))
+        core.submit(1 * US)
         sim.run()
         assert core.wake_count == wakes_before  # no extra wake needed
 
@@ -93,9 +90,7 @@ class TestCoreExecution:
         core, _ = make_core(sim)
         # CC1 entry starts at t=0 and takes 200 ns; submit at 100 ns.
         done = []
-        sim.schedule(
-            100, core.submit, Job("r", 1 * US, on_complete=lambda j, t: done.append(t))
-        )
+        sim.schedule(100, core.submit, 1 * US, lambda _: done.append(sim.now))
         sim.run()
         # Entry completes at 200, wake 2 us, service 1 us.
         assert done == [200 + CC1.exit_ns + 1 * US]
@@ -104,19 +99,20 @@ class TestCoreExecution:
         core, _ = make_core(sim)
         sim.run(until_ns=US)
         for _ in range(4):
-            core.submit(Job("x", 1000))
+            core.submit(1000)
         sim.run()
         assert core.jobs_completed == 4
 
-    def test_job_validation(self):
+    def test_job_validation(self, sim):
+        core, _ = make_core(sim)
         with pytest.raises(CoreError):
-            Job("bad", 0)
+            core.submit(0)
 
     def test_busy_property(self, sim):
         core, _ = make_core(sim)
         sim.run(until_ns=US)
         assert not core.busy
-        core.submit(Job("x", 10 * US))
+        core.submit(10 * US)
         sim.run(until_ns=3 * US)
         assert core.busy
 
@@ -124,7 +120,7 @@ class TestCoreExecution:
         core, _ = make_core(sim)
         sim.run(until_ns=10 * US)
         core.residency.reset()
-        core.submit(Job("x", 5 * US))
+        core.submit(5 * US)
         sim.run(until_ns=20 * US)
         cc0 = core.residency.residency_ns("CC0")
         # Wake (2 us) + service (5 us) counted as CC0.

@@ -89,8 +89,8 @@ class TestPll:
 
 class TestClockTree:
     def test_gate_latency_is_cycles_times_period(self, sim):
-        tree = ClockTree(sim, "clm", gate_cycles=2, cycle_ns=2)
-        assert tree.gate_latency_ns == 4
+        tree = ClockTree(sim, "clm", gate_cycles=3, cycle_ns=2)
+        assert tree.gate_latency_ns == 6 and type(tree.gate_latency_ns) is int
 
     def test_gating_settles_after_latency(self, sim):
         tree = ClockTree(sim, "clm")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.soc.cpu import Job
 from repro.soc.package import PackageCState, StaticPc0Controller
 from repro.units import MS, US
 
@@ -40,7 +39,7 @@ class TestPc6Entry:
     def test_entry_only_when_all_cores_cc6(self, deep_machine):
         machine = deep_machine
         # Keep one core busy past the others' CC6 entries.
-        machine.cores[0].submit(Job("long", 3 * MS))
+        machine.cores[0].submit(3 * MS)
         settle_pc6(machine, 1 * MS)
         assert machine.package.package_state != PackageCState.PC6.value
 

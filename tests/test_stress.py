@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from _machines import build_machine
 from repro.iolink.lstates import LSTATE_BY_NAME
-from repro.soc.cpu import Job
 from repro.soc.package import PackageCState
 from repro.units import MS, US
 
@@ -28,7 +27,7 @@ class TestApmuAdversarialTiming:
         # Force a fresh entry, then wake at a precise offset into it.
         apmu.gpmu_wakeup.set(True)
         drive(machine, 400)  # exit completes, re-entry begins
-        machine.sim.schedule(offset_ns, machine.cores[0].submit, Job("probe", 5 * US))
+        machine.sim.schedule(offset_ns, machine.cores[0].submit, 5 * US)
         drive(machine, 500 * US)
         # Whatever the interleaving: the job ran, the machine is sane.
         assert machine.cores[0].jobs_completed == 1
@@ -51,7 +50,7 @@ class TestApmuAdversarialTiming:
         drive(machine, 50 * US)
         now = machine.sim.now
         machine.sim.schedule_at(now + 10, machine.links[1].transfer, 128)
-        machine.sim.schedule_at(now + 10, machine.cores[5].submit, Job("x", 5 * US))
+        machine.sim.schedule_at(now + 10, machine.cores[5].submit, 5 * US)
         drive(machine, 500 * US)
         assert machine.cores[5].jobs_completed == 1
         assert machine.apmu.phase == "pc1a"
@@ -66,7 +65,7 @@ class TestApmuAdversarialTiming:
         base = machine.sim.now
         for i, offset in enumerate(offsets):
             core = machine.cores[i % len(machine.cores)]
-            machine.sim.schedule_at(base + offset, core.submit, Job(f"j{i}", 3 * US))
+            machine.sim.schedule_at(base + offset, core.submit, 3 * US)
         drive(machine, 2 * MS)
         assert sum(c.jobs_completed for c in machine.cores) == len(offsets)
         assert machine.apmu.phase == "pc1a"  # everything drained
@@ -81,9 +80,7 @@ class TestGpmuAdversarialTiming:
         # Cores reach CC6 around ~650 us (menu first-idle); the PC6
         # entry flow then runs ~29 us. Inject a wake at a stage offset.
         drive(machine, 650 * US)
-        machine.sim.schedule(
-            offset_us * US, machine.cores[0].submit, Job("probe", 5 * US)
-        )
+        machine.sim.schedule(offset_us * US, machine.cores[0].submit, 5 * US)
         drive(machine, 3 * MS)
         assert machine.cores[0].jobs_completed == 1
         # The machine must come fully back up at some point.
@@ -150,10 +147,11 @@ class TestConservationInvariants:
 
     def test_all_requests_accounted(self):
         machine = self._loaded_machine("CPC1A")
-        # Completed requests == recorded latencies == responses sent
-        # during the window (in-flight boundary effects aside).
+        # Completed requests == recorded latencies, and the NIC's link
+        # carried each request in and its response out during the
+        # window (in-flight boundary effects aside).
         assert machine.latency.count == machine.requests_completed
-        assert abs(machine.nic.responses_sent - machine.requests_completed) <= 5
+        assert abs(machine.links[0].transfers - 2 * machine.requests_completed) <= 5
 
     def test_rapl_matches_meter(self):
         from repro.power.rapl import RaplDomain

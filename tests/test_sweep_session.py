@@ -235,7 +235,7 @@ class TestWalkerLeaves:
         checkpoint = MachineCheckpoint(
             ServerMachine(config_by_name("CPC1A"), seed=1)
         )
-        assert len(checkpoint._dict_plans) == 119
+        assert len(checkpoint._dict_plans) == 118
         assert len(checkpoint._refills) == 62
         assert len(checkpoint._slot_plans) == 30
 
